@@ -40,7 +40,8 @@ int main() {
   // The best single transformation (maximum-coverage variant of the
   // problem) ...
   const auto& best = result.top[0];
-  const Transformation& t = result.store.Get(best.id);
+  // Get() returns a view of the rule's units inside result.store.
+  const Transformation t = result.store.Get(best.id);
   std::printf("best transformation (%u/%zu rows):\n  %s\n\n", best.coverage,
               result.num_rows, t.ToString(result.units).c_str());
 

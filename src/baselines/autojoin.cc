@@ -4,9 +4,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 
-#include "common/hash.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/options.h"
@@ -218,7 +216,8 @@ AutoJoinResult RunAutoJoin(const std::vector<ExamplePair>& rows,
 
   AutoJoinSearch search(options, &result.units, options.time_budget_seconds);
   Rng rng(options.seed);
-  std::unordered_set<uint64_t> found_hashes;
+  std::vector<UnitId> normalized;
+  std::string fused;
 
   for (size_t subset_index = 0; subset_index < options.num_subsets;
        ++subset_index) {
@@ -237,10 +236,9 @@ AutoJoinResult RunAutoJoin(const std::vector<ExamplePair>& rows,
     }
     auto units = search.Find(states, options.max_depth);
     if (!units.has_value()) continue;
-    Transformation t = Transformation::Normalized(*units, &result.units);
-    if (t.empty()) continue;
-    if (!found_hashes.insert(t.Hash()).second) continue;
-    const auto [id, fresh] = result.store.Intern(std::move(t));
+    Transformation::NormalizeInto(*units, &result.units, &normalized, &fused);
+    if (normalized.empty()) continue;
+    const auto [id, fresh] = result.store.Intern(normalized);
     if (fresh) result.found.push_back(id);
   }
 

@@ -1,6 +1,8 @@
 #include "baselines/naive.h"
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/options.h"
 #include "core/stats.h"
@@ -48,7 +50,9 @@ class RowEnumerator {
         *truncated_ = true;
         return;
       }
-      store_->Intern(Transformation::Normalized(current_, interner_));
+      Transformation::NormalizeInto(current_, interner_, &normalized_,
+                                    &fused_);
+      store_->Intern(normalized_);
       return;
     }
     if (current_.size() >= static_cast<size_t>(options_.max_units)) return;
@@ -134,6 +138,8 @@ class RowEnumerator {
   TransformationStore* store_;
   bool* truncated_;
   std::vector<UnitId> current_;
+  std::vector<UnitId> normalized_;  // NormalizeInto scratch
+  std::string fused_;
 };
 
 }  // namespace

@@ -53,31 +53,22 @@ class RowUnitCache {
   State Evaluate(const Unit& unit, UnitId id, std::string_view source,
                  std::string_view target, uint64_t* unit_evals,
                  std::string_view* out) {
-    if (!use_memo_) {
-      ++*unit_evals;
-      const auto produced = unit.Eval(source);
-      if (!produced.has_value() ||
-          (!produced->empty() &&
-           target.find(*produced) == std::string_view::npos)) {
-        return kBad;
-      }
-      *out = *produced;
-      return kOk;
+    const State known = state(id);
+    if (known != kUnknown) {
+      if (known == kOk) *out = output_[id];
+      return known;
     }
-    if ((packed_[id] >> 2) != current_epoch_) {
-      ++*unit_evals;
-      const auto produced = unit.Eval(source);
-      if (!produced.has_value() ||
-          (!produced->empty() &&
-           target.find(*produced) == std::string_view::npos)) {
-        packed_[id] = (current_epoch_ << 2) | kBad;
-      } else {
-        packed_[id] = (current_epoch_ << 2) | kOk;
-        output_[id] = *produced;
-      }
+    ++*unit_evals;
+    const auto produced = unit.Eval(source);
+    const bool ok = produced.has_value() &&
+                    (produced->empty() ||
+                     target.find(*produced) != std::string_view::npos);
+    const State state = ok ? kOk : kBad;
+    if (ok) *out = *produced;
+    if (use_memo_) {
+      packed_[id] = (current_epoch_ << 2) | state;
+      if (ok) output_[id] = *produced;
     }
-    const auto state = static_cast<State>(packed_[id] & 3u);
-    if (state == kOk) *out = output_[id];
     return state;
   }
 
@@ -93,60 +84,33 @@ class RowUnitCache {
 
 using CoveringPair = std::pair<uint32_t, uint32_t>;  // (transformation, row)
 
-/// The store's unit sequences flattened into one CSR block. The row-major
-/// loop below touches every (transformation, row) pair — often only to
-/// prune it — so chasing each Transformation's own heap vector is the
-/// dominant memory cost. Flattening once makes the scan two contiguous
-/// streams (offsets, units) instead of a pointer dereference per
-/// transformation per row.
-struct FlatUnits {
-  std::vector<uint32_t> offsets;  // size() + 1
-  std::vector<UnitId> units;
-
-  explicit FlatUnits(const TransformationStore& store) {
-    const size_t num_t = store.size();
-    offsets.resize(num_t + 1);
-    offsets[0] = 0;
-    for (size_t t = 0; t < num_t; ++t) {
-      offsets[t + 1] =
-          offsets[t] + static_cast<uint32_t>(store.Get(t).size());
-    }
-    units.resize(offsets[num_t]);
-    for (size_t t = 0; t < num_t; ++t) {
-      const std::vector<UnitId>& u = store.Get(t).units();
-      std::copy(u.begin(), u.end(), units.begin() + offsets[t]);
-    }
-  }
-};
-
 /// Evaluates every transformation against rows [begin, end), appending
 /// covering pairs in row-major order. Rows are independent (the cache is
 /// reset per row), so the counters accumulated into `stats` are exact
 /// regardless of how the row space is sharded.
-void EvaluateRowRange(const FlatUnits& flat, const UnitInterner& interner,
+void EvaluateRowRange(const TransformationStore& store,
+                      const UnitInterner& interner,
                       const std::vector<ExamplePair>& rows, size_t begin,
                       size_t end, const DiscoveryOptions& options,
                       RowUnitCache* cache,
                       std::vector<CoveringPair>* covering,
                       DiscoveryStats* stats) {
   ScopedTimer cpu_timer(&stats->cpu_apply);
-  const size_t num_t = flat.offsets.size() - 1;
-  const UnitId* all_units = flat.units.data();
+  const size_t num_t = store.size();
   for (size_t row = begin; row < end; ++row) {
     const std::string_view src = rows[row].source;
     const std::string_view tgt = rows[row].target;
     cache->BeginRow();
 
     for (TransformationId t = 0; t < num_t; ++t) {
-      const UnitId* t_units = all_units + flat.offsets[t];
-      const size_t t_size = flat.offsets[t + 1] - flat.offsets[t];
+      const std::span<const UnitId> t_units = store.Get(t).units();
 
       if (options.enable_neg_cache) {
         // The paper's pruning: skip the transformation outright if any of
         // its units is already known not to cover this row.
         bool pruned = false;
-        for (size_t i = 0; i < t_size; ++i) {
-          if (cache->state(t_units[i]) == RowUnitCache::kBad) {
+        for (UnitId id : t_units) {
+          if (cache->state(id) == RowUnitCache::kBad) {
             pruned = true;
             break;
           }
@@ -160,8 +124,7 @@ void EvaluateRowRange(const FlatUnits& flat, const UnitInterner& interner,
       ++stats->full_evaluations;
       size_t offset = 0;
       bool covers = true;
-      for (size_t i = 0; i < t_size; ++i) {
-        const UnitId id = t_units[i];
+      for (UnitId id : t_units) {
         std::string_view out;
         const auto state = cache->Evaluate(interner.Get(id), id, src, tgt,
                                            &stats->unit_evals, &out);
@@ -206,10 +169,9 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
                               ? options.pool->size()
                               : ResolveNumThreads(options.num_threads);
 
-  const FlatUnits flat(store);
   if (num_threads == 1 || rows.size() < 2 || InParallelFor()) {
     RowUnitCache cache(interner.size(), options.enable_neg_cache);
-    EvaluateRowRange(flat, interner, rows, 0, rows.size(), options, &cache,
+    EvaluateRowRange(store, interner, rows, 0, rows.size(), options, &cache,
                      &covering, stats);
   } else {
     // Sharded evaluation. Chunks are contiguous row ranges merged in chunk
@@ -236,7 +198,7 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
 
     pool.ParallelFor(rows.size(), num_chunks,
                      [&](int worker, size_t chunk, size_t begin, size_t end) {
-                       EvaluateRowRange(flat, interner, rows, begin, end,
+                       EvaluateRowRange(store, interner, rows, begin, end,
                                         options, caches[worker].get(),
                                         &chunk_covering[chunk],
                                         &worker_stats[worker]);

@@ -6,8 +6,10 @@
 //
 //   std::vector<ExamplePair> rows = {{"bowling, michael", "m bowling"}, ...};
 //   DiscoveryResult r = DiscoverTransformations(rows, DiscoveryOptions());
-//   for (const auto& ranked : r.cover.selected)
-//     std::cout << r.store.Get(ranked.id).ToString(r.units) << "\n";
+//   for (const auto& ranked : r.cover.selected) {
+//     const Transformation t = r.store.Get(ranked.id);  // view into r.store
+//     std::cout << t.ToString(r.units) << "\n";
+//   }
 
 #ifndef TJ_CORE_DISCOVERY_H_
 #define TJ_CORE_DISCOVERY_H_

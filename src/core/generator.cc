@@ -99,10 +99,8 @@ void GenerateTransformationsForRow(std::string_view source,
     ScopedTimer timer(&stats->cpu_duplicate_removal);
     for (;;) {
       for (size_t i = 0; i < slots.size(); ++i) units[i] = (*slots[i])[cursor[i]];
-      Transformation::NormalizeInto(units.data(), units.size(), interner,
-                                    &normalized, &fused);
-      store->InternUnits(normalized.data(), normalized.size(),
-                         options.enable_dedup);
+      Transformation::NormalizeInto(units, interner, &normalized, &fused);
+      store->Intern(normalized, options.enable_dedup);
       ++stats->generated_transformations;
       if (--remaining == 0) {
         capped = true;

@@ -194,8 +194,8 @@ Result<Unit> ParseUnit(std::string_view text) {
   return unit;
 }
 
-Result<Transformation> ParseTransformation(std::string_view text,
-                                           UnitInterner* interner) {
+Result<std::vector<UnitId>> ParseTransformation(std::string_view text,
+                                                UnitInterner* interner) {
   Cursor cursor(text);
   cursor.SkipSpace();
   if (!cursor.Consume('<')) {
@@ -219,7 +219,10 @@ Result<Transformation> ParseTransformation(std::string_view text,
   if (!cursor.AtEnd()) {
     return Status::InvalidArgument("trailing characters after '>'");
   }
-  return Transformation(std::move(ids));
+  std::vector<UnitId> normalized;
+  std::string fused;
+  Transformation::NormalizeInto(ids, interner, &normalized, &fused);
+  return normalized;
 }
 
 std::string SerializeTransformations(
@@ -252,7 +255,7 @@ Result<TransformationSet> ParseTransformationSet(std::string_view text) {
       return Status::InvalidArgument(
           StrPrintf("line %zu: %s", line_number, t.status().message().c_str()));
     }
-    const auto [id, fresh] = set.store.Intern(std::move(*t));
+    const auto [id, fresh] = set.store.Intern(*t);
     if (fresh) set.ids.push_back(id);
     if (end == text.size()) break;
   }

@@ -26,9 +26,11 @@ namespace tj {
 /// use the EscapeForDisplay escapes (\', \\, \n, \t, \r, \xNN).
 Result<Unit> ParseUnit(std::string_view text);
 
-/// Parses `<unit, unit, ...>` into a transformation, interning its units.
-Result<Transformation> ParseTransformation(std::string_view text,
-                                           UnitInterner* interner);
+/// Parses `<unit, unit, ...>` into a unit sequence, interning its units.
+/// The sequence is normalized (adjacent literals fused, as the learner
+/// does), so a rule parses to the same sequence discovery would store.
+Result<std::vector<UnitId>> ParseTransformation(std::string_view text,
+                                                UnitInterner* interner);
 
 /// A parsed rule set: the units, the transformations, and their ids in
 /// insertion order.

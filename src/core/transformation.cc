@@ -1,22 +1,17 @@
 #include "core/transformation.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 
 namespace tj {
 
-Transformation Transformation::Normalized(const std::vector<UnitId>& units,
-                                          UnitInterner* interner) {
-  std::vector<UnitId> out;
-  std::string fused;
-  NormalizeInto(units.data(), units.size(), interner, &out, &fused);
-  return Transformation(std::move(out));
-}
-
-void Transformation::NormalizeInto(const UnitId* units, size_t n,
+void Transformation::NormalizeInto(std::span<const UnitId> units,
                                    UnitInterner* interner,
                                    std::vector<UnitId>* out,
                                    std::string* fused) {
   out->clear();
+  const size_t n = units.size();
   // Literal runs are tracked as [run_begin, i) over the input so the common
   // single-literal run keeps its id with no string work at all.
   size_t run_begin = 0;
@@ -89,13 +84,13 @@ std::string Transformation::ToString(const UnitInterner& interner) const {
 }
 
 uint64_t Transformation::Hash() const {
-  return HashUnits(units_.data(), units_.size());
+  uint64_t h = Mix64(0x7472616e73ULL);  // "trans"
+  for (UnitId id : units_) h = HashCombine(h, id);
+  return h;
 }
 
-uint64_t Transformation::HashUnits(const UnitId* units, size_t n) {
-  uint64_t h = Mix64(0x7472616e73ULL);  // "trans"
-  for (size_t i = 0; i < n; ++i) h = HashCombine(h, units[i]);
-  return h;
+bool Transformation::operator==(const Transformation& other) const {
+  return std::ranges::equal(units_, other.units_);
 }
 
 }  // namespace tj

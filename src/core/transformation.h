@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,31 +15,27 @@
 
 namespace tj {
 
-/// An immutable sequence of interned units. Construct via Normalized() so
-/// adjacent literal units are merged, which keeps structurally identical
-/// transformations hash-equal for dedup.
+/// A non-owning view of a sequence of interned units. The units live either
+/// in a TransformationStore (Get() hands out views into its arena) or in a
+/// caller's std::vector<UnitId>; the view must not outlive them. Sequences
+/// meant for dedup are normalized first (NormalizeInto), so structurally
+/// identical transformations compare and hash equal.
 class Transformation {
  public:
   Transformation() = default;
-  explicit Transformation(std::vector<UnitId> units)
-      : units_(std::move(units)) {}
-
-  /// Builds a transformation with adjacent Literal units fused into one
-  /// (<L'.', L' '> becomes <L'. '>), interning any fused literal.
-  static Transformation Normalized(const std::vector<UnitId>& units,
-                                   UnitInterner* interner);
+  explicit Transformation(std::span<const UnitId> units) : units_(units) {}
 
   /// Allocation-free normalization into caller-owned scratch: `out` receives
-  /// the normalized sequence, `fused` is string scratch for literal runs.
-  /// A run of a single literal keeps its id without re-interning (the fused
-  /// text IS that unit's text, so interning could only return the same id);
-  /// only genuine multi-literal fusions intern, in the same order Normalized
-  /// would — identical ids, identical interner growth.
-  static void NormalizeInto(const UnitId* units, size_t n,
+  /// `units` with adjacent Literal units fused into one (<L'.', L' '>
+  /// becomes <L'. '>), `fused` is string scratch for literal runs. A run of
+  /// a single literal keeps its id without re-interning (the fused text IS
+  /// that unit's text, so interning could only return the same id); only
+  /// genuine multi-literal fusions intern.
+  static void NormalizeInto(std::span<const UnitId> units,
                             UnitInterner* interner, std::vector<UnitId>* out,
                             std::string* fused);
 
-  const std::vector<UnitId>& units() const { return units_; }
+  std::span<const UnitId> units() const { return units_; }
   size_t size() const { return units_.size(); }
   bool empty() const { return units_.empty(); }
 
@@ -61,15 +58,11 @@ class Transformation {
 
   uint64_t Hash() const;
 
-  /// Hash of a raw unit sequence; Hash() == HashUnits(units_.data(), size()).
-  static uint64_t HashUnits(const UnitId* units, size_t n);
-
-  bool operator==(const Transformation& other) const {
-    return units_ == other.units_;
-  }
+  /// Element-wise: two views are equal when their unit sequences are.
+  bool operator==(const Transformation& other) const;
 
  private:
-  std::vector<UnitId> units_;
+  std::span<const UnitId> units_;
 };
 
 }  // namespace tj

@@ -1,22 +1,17 @@
 #include "core/transformation_store.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace tj {
 
-size_t TransformationStore::FindSlot(uint64_t h, const UnitId* units,
-                                     size_t n) const {
+size_t TransformationStore::FindSlot(uint64_t h,
+                                     std::span<const UnitId> units) const {
   const size_t mask = slots_.size() - 1;
   size_t pos = static_cast<size_t>(h) & mask;
   while (slots_[pos] != 0) {
     const TransformationId id = slots_[pos] - 1;
-    if (hashes_[id] == h) {
-      const std::vector<UnitId>& existing = items_[id].units();
-      if (existing.size() == n &&
-          std::equal(existing.begin(), existing.end(), units)) {
-        return pos;
-      }
+    if (hashes_[id] == h && std::ranges::equal(Get(id).units(), units)) {
+      return pos;
     }
     pos = (pos + 1) & mask;
   }
@@ -29,53 +24,32 @@ void TransformationStore::GrowSlots() {
   const size_t mask = new_size - 1;
   // Re-inserting in id order preserves probe-path insertion order for
   // same-hash entries, so FindSlot keeps bucket-chain lookup semantics.
-  for (TransformationId id = 0; id < items_.size(); ++id) {
+  for (TransformationId id = 0; id < size(); ++id) {
     size_t pos = static_cast<size_t>(hashes_[id]) & mask;
     while (slots_[pos] != 0) pos = (pos + 1) & mask;
     slots_[pos] = id + 1;
   }
 }
 
-std::pair<TransformationId, bool> TransformationStore::InternUnits(
-    const UnitId* units, size_t n, bool dedup) {
-  ++insert_attempts_;
+std::pair<TransformationId, bool> TransformationStore::Intern(
+    std::span<const UnitId> units, bool dedup) {
+  TJ_DCHECK(units.empty() || units.data() < units_.data() ||
+            units.data() >= units_.data() + units_.size());
   // Grow at 2/3 load before probing so the found slot stays valid.
-  if ((items_.size() + 1) * 3 > slots_.size() * 2) GrowSlots();
-  const uint64_t h = Transformation::HashUnits(units, n);
+  if ((size() + 1) * 3 > slots_.size() * 2) GrowSlots();
+  const uint64_t h = Transformation(units).Hash();
   size_t pos;
   if (dedup) {
-    pos = FindSlot(h, units, n);
+    pos = FindSlot(h, units);
     if (slots_[pos] != 0) return {slots_[pos] - 1, false};
   } else {
     const size_t mask = slots_.size() - 1;
     pos = static_cast<size_t>(h) & mask;
     while (slots_[pos] != 0) pos = (pos + 1) & mask;
   }
-  const auto id = static_cast<TransformationId>(items_.size());
-  items_.emplace_back(std::vector<UnitId>(units, units + n));
-  hashes_.push_back(h);
-  slots_[pos] = id + 1;
-  return {id, true};
-}
-
-std::pair<TransformationId, bool> TransformationStore::Intern(Transformation t,
-                                                              bool dedup) {
-  ++insert_attempts_;
-  if ((items_.size() + 1) * 3 > slots_.size() * 2) GrowSlots();
-  const uint64_t h = t.Hash();
-  const UnitId* units = t.units().data();
-  const size_t n = t.units().size();
-  size_t pos;
-  if (dedup) {
-    pos = FindSlot(h, units, n);
-    if (slots_[pos] != 0) return {slots_[pos] - 1, false};
-  } else {
-    const size_t mask = slots_.size() - 1;
-    pos = static_cast<size_t>(h) & mask;
-    while (slots_[pos] != 0) pos = (pos + 1) & mask;
-  }
-  const auto id = static_cast<TransformationId>(items_.size());
-  items_.push_back(std::move(t));
+  const auto id = static_cast<TransformationId>(size());
+  units_.insert(units_.end(), units.begin(), units.end());
+  offsets_.push_back(static_cast<uint32_t>(units_.size()));
   hashes_.push_back(h);
   slots_[pos] = id + 1;
   return {id, true};

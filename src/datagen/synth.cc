@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "core/transformation.h"
 
 namespace tj {
 namespace {
@@ -144,6 +145,7 @@ SynthDataset GenerateSynth(const SynthOptions& options) {
   Rng rng(options.seed);
 
   // Ground-truth transformations: p placeholders + l literals, shuffled.
+  std::string fused;
   for (int t = 0; t < options.num_transformations; ++t) {
     std::vector<UnitId> ids;
     for (int p = 0; p < options.placeholders_per_transformation; ++p) {
@@ -158,7 +160,8 @@ SynthDataset GenerateSynth(const SynthOptions& options) {
           Unit::MakeLiteral(rng.RandomString(len, kLiteralAlphabet))));
     }
     rng.Shuffle(&ids);
-    ds.transformations.push_back(Transformation::Normalized(ids, &ds.units));
+    Transformation::NormalizeInto(ids, &ds.units,
+                                  &ds.transformations.emplace_back(), &fused);
   }
 
   // Source rows + targets.
@@ -169,7 +172,7 @@ SynthDataset GenerateSynth(const SynthOptions& options) {
   for (size_t r = 0; r < options.num_rows; ++r) {
     const auto rule = static_cast<size_t>(
         rng.Uniform(static_cast<uint64_t>(options.num_transformations)));
-    const Transformation& t = ds.transformations[rule];
+    const Transformation t(ds.transformations[rule]);
     std::string row;
     bool ok = false;
     for (int attempt = 0; attempt < 64 && !ok; ++attempt) {

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/transformation.h"
 #include "core/unit_interner.h"
 #include "table/table_pair.h"
 
@@ -41,9 +40,10 @@ SynthOptions SynthNL(size_t rows, uint64_t seed);
 
 struct SynthDataset {
   TablePair pair;
-  /// Ground-truth transformations (interned in `units`).
+  /// Ground-truth transformations as normalized unit sequences (units
+  /// interned in `units`).
   UnitInterner units;
-  std::vector<Transformation> transformations;
+  std::vector<std::vector<UnitId>> transformations;
   /// transformations index used to produce each source row's target.
   std::vector<size_t> row_rule;
 };

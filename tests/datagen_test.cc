@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "core/transformation.h"
 #include "datagen/figure1.h"
 #include "datagen/opendata.h"
 #include "datagen/spreadsheet.h"
@@ -20,7 +21,7 @@ TEST(SynthGen, GroundTruthCoversEveryRow) {
   const SynthDataset ds = GenerateSynth(SynthN(80, 7));
   ASSERT_EQ(ds.row_rule.size(), 80u);
   for (size_t r = 0; r < 80; ++r) {
-    const auto& t = ds.transformations[ds.row_rule[r]];
+    const Transformation t(ds.transformations[ds.row_rule[r]]);
     const auto source = ds.pair.SourceColumn().Get(r);
     const auto applied = t.Apply(source, ds.units);
     ASSERT_TRUE(applied.has_value());

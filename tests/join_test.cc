@@ -80,7 +80,7 @@ TEST(ApplyAndEquiJoin, ManyToManySemantics) {
   UnitInterner units;
   TransformationStore store;
   const auto [id, fresh] =
-      store.Intern(Transformation({units.Intern(Unit::MakeSplit('|', 0))}));
+      store.Intern(std::vector<UnitId>{units.Intern(Unit::MakeSplit('|', 0))});
   ASSERT_TRUE(fresh);
   const std::vector<RowPair> joined =
       ApplyAndEquiJoin(source, target, store, units, {id});

@@ -93,6 +93,8 @@ TEST(AblationToggles, DedupOffInflatesGeneratedCount) {
   // Same generation attempts, but without dedup every attempt is stored.
   EXPECT_EQ(a.stats.generated_transformations,
             b.stats.generated_transformations);
+  EXPECT_EQ(b.stats.generated_transformations,
+            b.stats.unique_transformations);
   EXPECT_GT(b.stats.unique_transformations,
             a.stats.unique_transformations);
   // Quality is unchanged.

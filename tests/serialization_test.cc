@@ -51,8 +51,8 @@ TEST(ParseTransformation, RoundTripsPrettyForm) {
       "<SplitSubstr(' ',1,0,1), Literal(' '), Split(',',0)>";
   const auto t = ParseTransformation(text, &interner);
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(t->ToString(interner), text);
-  EXPECT_EQ(t->Apply("bowling, michael", interner),
+  EXPECT_EQ(Transformation(*t).ToString(interner), text);
+  EXPECT_EQ(Transformation(*t).Apply("bowling, michael", interner),
             std::optional<std::string>("m bowling"));
 }
 
@@ -105,6 +105,18 @@ TEST(TransformationSet, SkipsCommentsAndBlankLines) {
   EXPECT_EQ(parsed->ids.size(), 2u);
 }
 
+TEST(TransformationSet, NormalizesAdjacentLiteralsBeforeInterning) {
+  // Two spellings of one rule: the learner fuses adjacent literals, so a
+  // parsed rule must too, or the set keeps both as distinct rules.
+  const auto parsed = ParseTransformationSet(
+      "<Literal('a'), Literal('b'), Substr(0,1)>\n"
+      "<Literal('ab'), Substr(0,1)>\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->ids.size(), 1u);
+  EXPECT_EQ(parsed->store.Get(parsed->ids[0]).ToString(parsed->units),
+            "<Literal('ab'), Substr(0,1)>");
+}
+
 TEST(TransformationSet, ReportsLineNumberOnError) {
   const auto parsed =
       ParseTransformationSet("<Split(',',0)>\n<Bogus(1)>\n");
@@ -117,7 +129,7 @@ TEST(TransformationSet, FileRoundTrip) {
   TransformationStore store;
   std::vector<TransformationId> ids;
   ids.push_back(
-      store.Intern(Transformation({units.Intern(Unit::MakeSplit('|', 1))}))
+      store.Intern(std::vector<UnitId>{units.Intern(Unit::MakeSplit('|', 1))})
           .first);
   const std::string path = ::testing::TempDir() + "/rules.tj";
   ASSERT_TRUE(SaveTransformationsToFile(path, store, units, ids).ok());
