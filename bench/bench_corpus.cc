@@ -348,7 +348,6 @@ LshScaleOutcome RunLshScale(double scale, int num_threads) {
       std::max<size_t>(200, static_cast<size_t>(10000 * scale));
 
   tj::PairPrunerOptions options;
-  options.lsh.enabled = true;
 
   LshScaleOutcome outcome;
   outcome.tables = tables;

@@ -20,9 +20,11 @@
 // repeated runs over a mutating repository stay incremental.
 //
 // --add/--remove/--update apply catalog maintenance on top of the loaded
-// directory through the incremental pruner: each op rescores only the
-// touched table's column pairs (O(N) in catalog size) instead of rebuilding
-// the whole shortlist, and prints the per-op scoring cost.
+// directory through the incremental pruner: each op probes the LSH band
+// buckets and exact-scores only the touched table's colliding column pairs
+// instead of rebuilding the whole shortlist, and prints the per-op scoring
+// cost. The probe is lossless only at a positive --min-containment floor,
+// so these ops (and --serve) refuse a zero floor.
 //
 // --serve turns the tool into tjd, a long-lived daemon answering joinable /
 // transform-join / add / update / remove / stats requests over a
@@ -69,7 +71,7 @@ int Usage(const char* argv0) {
       "          [--signatures cache.tj] [--out results.csv]\n"
       "          [--spill-dir DIR] [--memory-budget BYTES]\n"
       "          [--index-cache-budget BYTES]\n"
-      "          [--lsh] [--lsh-bands N] [--lsh-rows N]\n"
+      "          [--lsh-bands N] [--lsh-rows N]\n"
       "          [--failpoints SPEC]\n"
       "          [--add FILE]... [--remove NAME]... [--update FILE]...\n"
       "       %s <csv-dir> --serve SOCKET [--watch DIR] [options]\n"
@@ -81,7 +83,9 @@ int Usage(const char* argv0) {
       "      across levels, so this only changes speed)\n"
       "  --threads N: pair-level worker threads (0 = all cores, default)\n"
       "  --min-containment F: sketch containment pruning floor "
-      "(default 0.05; 0 = brute force)\n"
+      "(default 0.05; 0 = brute force,\n"
+      "      batch runs only: --add/--remove/--update and --serve need a\n"
+      "      positive floor)\n"
       "  --signatures F: load/save the column sketch cache (v2: stale\n"
       "      entries self-invalidate via per-table fingerprints)\n"
       "  --spill-dir DIR: land table bytes in mmap-backed files under DIR\n"
@@ -94,13 +98,12 @@ int Usage(const char* argv0) {
       "      256m, 0 = unlimited); in serve mode, each snapshot's\n"
       "      per-epoch cache budget\n"
       "  --add F / --remove NAME / --update F: incremental catalog\n"
-      "      maintenance; only the touched table's pairs are rescored\n"
-      "  --lsh: band the MinHash sketches into bucket keys so incremental\n"
-      "      adds exact-score only bucket-colliding columns instead of the\n"
-      "      whole catalog (default banding 128x1 is lossless at any\n"
-      "      positive --min-containment floor)\n"
-      "  --lsh-bands N / --lsh-rows N: banding geometry (bands x rows per\n"
-      "      band; coarser settings trade recall for fewer probes)\n"
+      "      maintenance; only the touched table's LSH bucket-colliding\n"
+      "      pairs are rescored\n"
+      "  --lsh-bands N / --lsh-rows N: banding geometry of the incremental\n"
+      "      and served pruner's LSH probe (bands x rows per band; the\n"
+      "      default 128x1 is lossless at any positive --min-containment;\n"
+      "      coarser settings trade recall for fewer probes)\n"
       "  --failpoints SPEC: arm fault-injection sites, e.g.\n"
       "      'mmap/sync=p:0.5,errno:EIO;mmap/ftruncate=errno:ENOSPC'\n"
       "      (requires a -DTJ_FAILPOINTS=ON build)\n"
@@ -543,13 +546,9 @@ int main(int argc, char** argv) {
                i + 1 < argc) {
       options.pruner.max_candidates =
           static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--lsh") == 0) {
-      options.pruner.lsh.enabled = true;
     } else if (std::strcmp(argv[i], "--lsh-bands") == 0 && i + 1 < argc) {
-      options.pruner.lsh.enabled = true;
       options.pruner.lsh.bands = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--lsh-rows") == 0 && i + 1 < argc) {
-      options.pruner.lsh.enabled = true;
       options.pruner.lsh.rows_per_band =
           static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
@@ -600,16 +599,23 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (options.pruner.lsh.enabled &&
+  // Maintenance ops and the daemon run the live pruner, whose LSH probe
+  // cannot see the zero-score pairs a zero floor keeps.
+  const bool live_pruner = !ops.empty() || !serve_socket.empty();
+  if (live_pruner && !(options.pruner.min_containment > 0.0)) {
+    std::fprintf(stderr,
+                 "--add/--remove/--update and --serve need a positive "
+                 "--min-containment (0 = brute force is batch-only)\n");
+    return 2;
+  }
+  if (live_pruner &&
       !LshIndex::GuaranteesRecall(options.pruner.lsh,
                                   SignatureOptions().num_hashes,
                                   options.pruner.min_containment)) {
     std::fprintf(stderr,
-                 "note: --lsh banding %zux%zu at floor %g is approximate; "
-                 "low-overlap pairs may be missed (128x1 with a positive "
-                 "floor is lossless)\n",
-                 options.pruner.lsh.bands, options.pruner.lsh.rows_per_band,
-                 options.pruner.min_containment);
+                 "note: LSH banding %zux%zu is approximate; low-overlap "
+                 "pairs may be missed (128x1 is lossless)\n",
+                 options.pruner.lsh.bands, options.pruner.lsh.rows_per_band);
   }
   if (!watch_dir.empty() && serve_socket.empty()) {
     std::fprintf(stderr, "--watch requires --serve\n");

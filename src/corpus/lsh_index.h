@@ -16,6 +16,12 @@
 // (GuaranteesRecall tells callers when that holds). Coarser bandings
 // (rows_per_band > 1) probe fewer pairs but may miss low-similarity
 // survivors; CountLshMissedPairs (pair_pruner.h) measures exactly that.
+//
+// Layout: buckets live in one flat open-addressed table (linear probing,
+// power-of-two capacity, backward-shift deletion) whose slots hold the band
+// key and the head of that bucket's entry chain; entries are (ColumnRef,
+// next) pairs in one vector recycled through a free list. A band key costs
+// a slot plus one 12-byte entry — no per-bucket heap allocation.
 
 #ifndef TJ_CORPUS_LSH_INDEX_H_
 #define TJ_CORPUS_LSH_INDEX_H_
@@ -23,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -33,11 +38,6 @@
 namespace tj {
 
 struct LshOptions {
-  /// Off by default: the pruner keeps its exhaustive O(N)-per-add scan and
-  /// existing callers see identical behavior (including exact
-  /// last_scored_pairs counts) unless they opt in.
-  bool enabled = false;
-
   /// Number of bands. The default — one band per sketch slot at the
   /// catalog's 128-hash default — makes collision equivalent to "any slot
   /// matches", the lossless setting (see the exactness contract above).
@@ -55,8 +55,7 @@ Status ValidateOptions(const LshOptions& options);
 
 /// The banded bucket index. Not thread-safe for concurrent mutation; the
 /// pruner mutates it only from its (externally serialized) maintenance
-/// calls, and copies are independent — the serving layer's snapshots rely
-/// on that.
+/// calls.
 class LshIndex {
  public:
   explicit LshIndex(LshOptions options = LshOptions())
@@ -68,7 +67,8 @@ class LshIndex {
   /// no grams (distinct_ngrams == 0) are skipped entirely: their estimated
   /// containment against anything is 0, so they can never clear a positive
   /// floor — and their all-empty sketches would otherwise all collide with
-  /// each other in every band.
+  /// each other in every band. `ref` must not already be indexed
+  /// (TJ_CHECK).
   void Insert(ColumnRef ref, const ColumnSignature& signature);
 
   /// Drops every indexed column of `table_id`. Needs no signatures (the
@@ -86,8 +86,12 @@ class LshIndex {
   void Clear();
 
   /// Distinct occupied buckets / indexed columns (stats surfaces).
-  size_t num_buckets() const { return buckets_.size(); }
+  size_t num_buckets() const { return num_buckets_; }
   size_t num_entries() const { return keys_.size(); }
+
+  /// Bucket keys of one signature in band order (one per usable band whose
+  /// slots are not all empty) — the keys Insert files a column under.
+  std::vector<uint64_t> BandKeys(const ColumnSignature& signature) const;
 
   /// True when `a` and `b` share at least one banded bucket key — the
   /// collision predicate Probe implements, exposed so recall diagnostics
@@ -106,12 +110,32 @@ class LshIndex {
                                double min_containment);
 
  private:
-  /// Bucket keys of one signature in band order (size = usable bands).
-  std::vector<uint64_t> BandKeys(const ColumnSignature& signature) const;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// One bucket member; `next` chains the bucket (or the free list).
+  struct Entry {
+    ColumnRef ref;
+    uint32_t next = kNil;
+  };
+
+  /// Slot holding `key`, or kNil when the key has no bucket.
+  uint32_t FindSlot(uint64_t key) const;
+  /// Slot holding `key`, claiming (and growing the table for) a new one.
+  uint32_t FindOrInsertSlot(uint64_t key);
+  /// Empties slot `slot` and shifts its probe-run successors back, so every
+  /// key stays reachable from its home slot without tombstones.
+  void EraseSlot(uint32_t slot);
+  void Grow();
 
   LshOptions options_;
-  /// Bucket key -> indexed columns, in insertion order (Probe sorts).
-  std::unordered_map<uint64_t, std::vector<ColumnRef>> buckets_;
+  /// Parallel slot arrays: band key and the head entry of its bucket
+  /// (kNil = empty slot). Capacity is zero or a power of two.
+  std::vector<uint64_t> slot_keys_;
+  std::vector<uint32_t> slot_heads_;
+  size_t num_buckets_ = 0;
+  /// Bucket members, chained per slot; dead entries chain from free_head_.
+  std::vector<Entry> entries_;
+  uint32_t free_head_ = kNil;
   /// Reverse map for signature-free removal: every key each column was
   /// filed under. std::map so RemoveTable can range-scan a table's columns
   /// via lower_bound on {table_id, 0}.

@@ -1,6 +1,8 @@
 #include "corpus/pair_pruner.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -24,8 +26,9 @@ struct ChunkOutput {
   size_t considered = 0;
 };
 
-/// Sorts + truncates survivors and fills the result counters; shared by the
-/// one-shot scan and the incremental snapshot so both rank identically.
+/// Sorts + truncates survivors and fills the result counters. The
+/// incremental snapshot keeps its survivors in this same RankBefore order,
+/// so both front ends rank identically.
 PairPrunerResult FinalizeShortlist(std::vector<ColumnPairCandidate> survivors,
                                    size_t considered,
                                    const PairPrunerOptions& options) {
@@ -127,7 +130,7 @@ PairPrunerResult ShortlistPairs(const TableCatalog& catalog,
 
 void IncrementalPairPruner::Rebuild(const TableCatalog& catalog,
                                     ThreadPool* pool) {
-  groups_.clear();
+  ranked_.clear();
   tracked_.clear();
   table_columns_.clear();
   tracked_columns_total_ = 0;
@@ -136,165 +139,95 @@ void IncrementalPairPruner::Rebuild(const TableCatalog& catalog,
   size_t scored = 0;
   for (uint32_t t = 0; t < catalog.num_slots(); ++t) {
     if (!catalog.IsLive(t)) continue;
-    OnTableAdded(catalog, t, pool);
+    FoldIn(catalog, t, pool, &ranked_);
     scored += last_scored_pairs_;
   }
+  std::sort(ranked_.begin(), ranked_.end(), RankBefore);
   last_scored_pairs_ = scored;
 }
 
 void IncrementalPairPruner::OnTableAdded(const TableCatalog& catalog,
                                          uint32_t table_id,
                                          ThreadPool* pool) {
+  const size_t old_size = ranked_.size();
+  FoldIn(catalog, table_id, pool, &ranked_);
+  // RankBefore is a strict total order on unique (a, b) pairs, so sorting
+  // the new tail and merging yields exactly ShortlistPairs' ranking.
+  const auto tail = ranked_.begin() + static_cast<std::ptrdiff_t>(old_size);
+  std::sort(tail, ranked_.end(), RankBefore);
+  std::inplace_merge(ranked_.begin(), tail, ranked_.end(), RankBefore);
+}
+
+void IncrementalPairPruner::FoldIn(const TableCatalog& catalog,
+                                   uint32_t table_id, ThreadPool* pool,
+                                   std::vector<ColumnPairCandidate>* out) {
   TJ_CHECK(catalog.IsLive(table_id));
   TJ_CHECK(tracked_.find(table_id) == tracked_.end());
 
   const auto num_new_columns =
       static_cast<uint32_t>(catalog.table(table_id).num_columns());
 
-  if (options_.lsh.enabled) {
-    AddViaLshProbe(catalog, table_id, num_new_columns, pool);
-  } else {
-    AddViaFullScan(catalog, table_id, num_new_columns, pool);
-  }
-
-  // Both modes account the full cross-pair space the exhaustive scan would
-  // consider, so Snapshot()'s total/pruned counters match ShortlistPairs
-  // regardless of how many pairs the probe actually touched.
-  total_pairs_ += num_new_columns * tracked_columns_total_;
-  tracked_columns_total_ += num_new_columns;
-  table_columns_[table_id] = num_new_columns;
-  tracked_.insert(table_id);
-  cumulative_scored_pairs_ += last_scored_pairs_;
-}
-
-void IncrementalPairPruner::AddViaFullScan(const TableCatalog& catalog,
-                                           uint32_t table_id,
-                                           uint32_t num_new_columns,
-                                           ThreadPool* pool) {
-  const std::vector<uint32_t> partners(tracked_.begin(), tracked_.end());
-
-  // Scores every column of `table_id` against every column of one partner
-  // table, producing that unordered pair's whole group.
-  auto score_partner = [&](uint32_t partner, Group* group) {
-    ColumnPairCandidate candidate;
-    const auto partner_columns =
-        static_cast<uint32_t>(catalog.table(partner).num_columns());
-    // Catalog order within the group: the lower table id owns `a`.
-    for (uint32_t cn = 0; cn < num_new_columns; ++cn) {
-      for (uint32_t cp = 0; cp < partner_columns; ++cp) {
-        ColumnRef a{table_id, cn};
-        ColumnRef b{partner, cp};
-        if (b < a) std::swap(a, b);
-        ++group->considered;
-        if (ScoreColumnPair(catalog, a, b, options_, &candidate)) {
-          group->survivors.push_back(candidate);
-        }
-      }
-    }
-  };
-
-  std::vector<Group> scored(partners.size());
-  if (pool != nullptr && pool->size() > 1 && partners.size() > 1 &&
-      !InParallelFor()) {
-    // One chunk per few partners; each partner writes its own group slot,
-    // so the merged state never depends on scheduling.
-    pool->ParallelFor(partners.size(),
-                      std::min(partners.size(),
-                               static_cast<size_t>(pool->size()) * 4),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          score_partner(partners[i], &scored[i]);
-                        }
-                      });
-  } else {
-    for (size_t i = 0; i < partners.size(); ++i) {
-      score_partner(partners[i], &scored[i]);
-    }
-  }
-
-  size_t scored_pairs = 0;
-  for (size_t i = 0; i < partners.size(); ++i) {
-    scored_pairs += scored[i].considered;
-    const auto key = std::minmax(table_id, partners[i]);
-    groups_.emplace(std::make_pair(key.first, key.second),
-                    std::move(scored[i]));
-  }
-  last_scored_pairs_ = scored_pairs;
-}
-
-void IncrementalPairPruner::AddViaLshProbe(const TableCatalog& catalog,
-                                           uint32_t table_id,
-                                           uint32_t num_new_columns,
-                                           ThreadPool* pool) {
   // Probe before inserting: the index holds only previously tracked
   // columns, so the new table cannot collide with itself and OnTableUpdated
-  // (remove + re-add) never sees its own stale entries.
-  struct Collision {
-    ColumnRef mine;
-    ColumnRef partner;
-  };
-  std::map<uint32_t, std::vector<Collision>> by_partner;
+  // (remove + re-add) never sees its own stale entries. Each collision is
+  // stored in catalog order (the lower table id owns `a`).
+  std::vector<std::pair<ColumnRef, ColumnRef>> collisions;
   for (uint32_t cn = 0; cn < num_new_columns; ++cn) {
     const ColumnRef mine{table_id, cn};
     if (!catalog.HasSignature(mine)) continue;
     for (const ColumnRef& hit : lsh_.Probe(catalog.signature(mine))) {
-      by_partner[hit.table].push_back({mine, hit});
+      if (hit < mine) {
+        collisions.emplace_back(hit, mine);
+      } else {
+        collisions.emplace_back(mine, hit);
+      }
     }
   }
 
-  std::vector<std::pair<uint32_t, std::vector<Collision>>> partners;
-  partners.reserve(by_partner.size());
-  for (auto& [partner, collisions] : by_partner) {
-    partners.emplace_back(partner, std::move(collisions));
-  }
-
-  // Exact-score only the colliding pairs, one group slot per partner table
-  // (the same merge discipline as the full scan, so results are identical
-  // for every pool size). Groups keep considered == 0: in LSH mode the
-  // totals are maintained arithmetically by OnTableAdded/OnTableRemoved,
-  // and storing the ~N^2/2 empty groups a million-table corpus implies is
-  // exactly what this path exists to avoid.
-  std::vector<Group> scored(partners.size());
-  size_t scored_pairs = 0;
-  auto score_partner = [&](size_t i) {
+  // Exact-score only the colliding pairs. Parallel chunks write their own
+  // survivor buffers; the caller sorts, so scheduling never shows.
+  const size_t n = collisions.size();
+  auto score_range = [&](size_t begin, size_t end,
+                         std::vector<ColumnPairCandidate>* survivors) {
     ColumnPairCandidate candidate;
-    for (const Collision& c : partners[i].second) {
-      ColumnRef a = c.mine;
-      ColumnRef b = c.partner;
-      if (b < a) std::swap(a, b);
-      if (ScoreColumnPair(catalog, a, b, options_, &candidate)) {
-        scored[i].survivors.push_back(candidate);
+    for (size_t i = begin; i < end; ++i) {
+      if (ScoreColumnPair(catalog, collisions[i].first, collisions[i].second,
+                          options_, &candidate)) {
+        survivors->push_back(candidate);
       }
     }
   };
-  if (pool != nullptr && pool->size() > 1 && partners.size() > 1 &&
-      !InParallelFor()) {
-    pool->ParallelFor(partners.size(),
-                      std::min(partners.size(),
-                               static_cast<size_t>(pool->size()) * 4),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
+  if (pool != nullptr && pool->size() > 1 && n > 1 && !InParallelFor()) {
+    const size_t num_chunks =
+        std::min(n, static_cast<size_t>(pool->size()) * 4);
+    std::vector<std::vector<ColumnPairCandidate>> chunks(num_chunks);
+    pool->ParallelFor(n, num_chunks,
+                      [&](int /*worker*/, size_t chunk, size_t begin,
                           size_t end) {
-                        for (size_t i = begin; i < end; ++i) score_partner(i);
+                        score_range(begin, end, &chunks[chunk]);
                       });
+    for (const std::vector<ColumnPairCandidate>& chunk : chunks) {
+      out->insert(out->end(), chunk.begin(), chunk.end());
+    }
   } else {
-    for (size_t i = 0; i < partners.size(); ++i) score_partner(i);
+    score_range(0, n, out);
   }
-
-  for (size_t i = 0; i < partners.size(); ++i) {
-    scored_pairs += partners[i].second.size();
-    if (scored[i].survivors.empty()) continue;
-    const auto key = std::minmax(table_id, partners[i].first);
-    groups_.emplace(std::make_pair(key.first, key.second),
-                    std::move(scored[i]));
-  }
-  last_scored_pairs_ = scored_pairs;
 
   for (uint32_t cn = 0; cn < num_new_columns; ++cn) {
     const ColumnRef mine{table_id, cn};
     if (!catalog.HasSignature(mine)) continue;
     lsh_.Insert(mine, catalog.signature(mine));
   }
+
+  // Account the full cross-pair space the exhaustive scan would consider,
+  // so Snapshot()'s total/pruned counters match ShortlistPairs no matter
+  // how few pairs the probe touched.
+  total_pairs_ += static_cast<size_t>(num_new_columns) * tracked_columns_total_;
+  tracked_columns_total_ += num_new_columns;
+  table_columns_[table_id] = num_new_columns;
+  tracked_.insert(table_id);
+  last_scored_pairs_ = n;
+  cumulative_scored_pairs_ += n;
 }
 
 void IncrementalPairPruner::OnTableRemoved(uint32_t table_id) {
@@ -302,23 +235,14 @@ void IncrementalPairPruner::OnTableRemoved(uint32_t table_id) {
   const auto cols = table_columns_.find(table_id);
   TJ_CHECK(cols != table_columns_.end());
   tracked_columns_total_ -= cols->second;
-  if (options_.lsh.enabled) {
-    // LSH-mode groups carry considered == 0; subtract the removed table's
-    // share of the pair space arithmetically (its columns against every
-    // still-tracked column).
-    total_pairs_ -= static_cast<size_t>(cols->second) *
-                    tracked_columns_total_;
-    lsh_.RemoveTable(table_id);
-  }
+  // The removed table's share of the pair space: its columns against every
+  // still-tracked column.
+  total_pairs_ -= static_cast<size_t>(cols->second) * tracked_columns_total_;
   table_columns_.erase(cols);
-  for (auto it = groups_.begin(); it != groups_.end();) {
-    if (it->first.first == table_id || it->first.second == table_id) {
-      total_pairs_ -= it->second.considered;
-      it = groups_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  lsh_.RemoveTable(table_id);
+  std::erase_if(ranked_, [table_id](const ColumnPairCandidate& c) {
+    return c.a.table == table_id || c.b.table == table_id;
+  });
 }
 
 void IncrementalPairPruner::OnTableUpdated(const TableCatalog& catalog,
@@ -329,17 +253,16 @@ void IncrementalPairPruner::OnTableUpdated(const TableCatalog& catalog,
 }
 
 PairPrunerResult IncrementalPairPruner::Snapshot() const {
-  std::vector<ColumnPairCandidate> survivors;
-  size_t total_survivors = 0;
-  for (const auto& [key, group] : groups_) {
-    total_survivors += group.survivors.size();
+  PairPrunerResult result;
+  result.total_pairs = total_pairs_;
+  result.pruned_pairs = total_pairs_ - ranked_.size();
+  size_t keep = ranked_.size();
+  if (options_.max_candidates != 0) {
+    keep = std::min(keep, options_.max_candidates);
   }
-  survivors.reserve(total_survivors);
-  for (const auto& [key, group] : groups_) {
-    survivors.insert(survivors.end(), group.survivors.begin(),
-                     group.survivors.end());
-  }
-  return FinalizeShortlist(std::move(survivors), total_pairs_, options_);
+  result.shortlist.assign(ranked_.begin(),
+                          ranked_.begin() + static_cast<std::ptrdiff_t>(keep));
+  return result;
 }
 
 Status ValidateOptions(const PairPrunerOptions& options) {

@@ -9,10 +9,12 @@
 // Two front ends share one scoring path:
 //  * ShortlistPairs — one-shot scan of the whole catalog.
 //  * IncrementalPairPruner — a live shortlist maintained across catalog
-//    AddTable/RemoveTable/UpdateTable operations. Adding a table scores
-//    only that table's columns against the rest (O(N) new scores instead
-//    of the O(N^2) full rescan), and every snapshot is bit-identical to a
-//    from-scratch ShortlistPairs over the same catalog state.
+//    AddTable/RemoveTable/UpdateTable operations. Adding a table probes a
+//    banded-LSH index (lsh_index.h) and exact-scores only the columns its
+//    sketches collide with (sublinear in catalog size instead of the O(N^2)
+//    full rescan), and every snapshot is bit-identical to a from-scratch
+//    ShortlistPairs over the same catalog state whenever the banding is
+//    lossless and the floor positive (LshIndex::GuaranteesRecall).
 
 #ifndef TJ_CORPUS_PAIR_PRUNER_H_
 #define TJ_CORPUS_PAIR_PRUNER_H_
@@ -20,7 +22,6 @@
 #include <cstddef>
 #include <map>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "corpus/catalog.h"
@@ -48,14 +49,13 @@ struct PairPrunerOptions {
   /// Keep at most this many top-ranked candidates (0 = unlimited).
   size_t max_candidates = 0;
 
-  /// Banded-LSH candidate lookup for the IncrementalPairPruner (lsh_index.h).
-  /// When enabled, OnTableAdded probes the band buckets and exact-scores only
-  /// colliding pairs — sublinear per add — instead of scanning every tracked
-  /// column. With the lossless default banding
+  /// Banding geometry of the IncrementalPairPruner's candidate lookup
+  /// (lsh_index.h): OnTableAdded probes the band buckets and exact-scores
+  /// only colliding pairs. With the lossless default banding
   /// (LshIndex::GuaranteesRecall(lsh, num_hashes, min_containment) true) the
-  /// shortlist stays bit-identical to the exhaustive scan. Ignored by the
-  /// one-shot ShortlistPairs, which is the exhaustive reference by
-  /// definition.
+  /// live shortlist stays bit-identical to the exhaustive scan; coarser
+  /// bandings are approximate. Ignored by the one-shot ShortlistPairs, which
+  /// is the exhaustive reference by definition.
   LshOptions lsh;
 };
 
@@ -124,11 +124,20 @@ size_t CountLshMissedPairs(const TableCatalog& catalog,
                            const PairPrunerOptions& options,
                            ThreadPool* pool = nullptr);
 
-/// Live shortlist over a mutating catalog. Survivor candidates are held in
-/// mergeable per-table-pair groups, so table-level add/remove/update only
-/// touches the groups involving that table; Snapshot() re-ranks the merged
-/// survivors (cheap — scoring dominates) and returns a result bit-identical
-/// to ShortlistPairs on the catalog's current live state.
+/// Live shortlist over a mutating catalog. Every survivor is held once in a
+/// single vector kept in rank order: an add merges its few new survivors
+/// in, a remove erases the table's candidates in one pass, and Snapshot()
+/// copies the ranked head — no walk and no re-sort per read. The pair-space
+/// totals are kept arithmetically from per-table column counts.
+///
+/// Recall contract: candidates come from the banded-LSH probe, which only
+/// sees pairs sharing a non-empty sketch slot. At a positive
+/// min_containment floor with the default 128x1 banding
+/// (LshIndex::GuaranteesRecall) every pair the floor keeps is probed, so
+/// Snapshot() is bit-identical to ShortlistPairs on the catalog's current
+/// live state. A zero floor keeps zero-score pairs the probe cannot see
+/// (the serving layer's ValidateOptions rejects it); use the one-shot
+/// ShortlistPairs for the brute-force baseline.
 ///
 /// The caller drives maintenance: after catalog.AddTable + the catalog's
 /// ComputeSignatures, call OnTableAdded with the new id; after
@@ -141,24 +150,23 @@ class IncrementalPairPruner {
 
   const PairPrunerOptions& options() const { return options_; }
 
-  /// Clears any state and scores every live table of the catalog (same
-  /// total work as ShortlistPairs, organized as one OnTableAdded per
-  /// table). Requires ComputeSignatures() to have run.
+  /// Clears any state and folds in every live table of the catalog (one
+  /// probe per table, one ranking sort at the end). Requires
+  /// ComputeSignatures() to have run.
   void Rebuild(const TableCatalog& catalog, ThreadPool* pool = nullptr);
 
-  /// Scores only `table_id`'s columns against every table already tracked
-  /// — O(columns(T) * columns(rest)) work, O(N) in catalog size — and
-  /// merges the surviving candidates in. With options.lsh.enabled the scan
-  /// is replaced by a band-bucket probe: only columns colliding with the
-  /// new sketches in >= 1 bucket are exact-scored (sublinear per add), and
-  /// last_scored_pairs() reports the probed count. In parallel over partner
-  /// tables when `pool` is given (per-partner groups are independent, so
-  /// results are identical for every pool size). Requires the table's
+  /// Probes the band buckets with `table_id`'s sketches, exact-scores only
+  /// the tracked columns colliding in >= 1 bucket (sublinear per add), and
+  /// merges the surviving candidates into the ranking; last_scored_pairs()
+  /// reports the probed count. Scoring runs in parallel over the collisions
+  /// when `pool` is given (the new survivors are sorted before the merge,
+  /// so results are identical for every pool size). Requires the table's
   /// signatures.
   void OnTableAdded(const TableCatalog& catalog, uint32_t table_id,
                     ThreadPool* pool = nullptr);
 
-  /// Drops every group involving `table_id`. O(groups), no rescoring.
+  /// Drops every candidate involving `table_id` in one pass over the
+  /// ranking. No rescoring.
   void OnTableRemoved(uint32_t table_id);
 
   /// Rescores `table_id` against the rest (remove + add).
@@ -174,41 +182,30 @@ class IncrementalPairPruner {
   size_t last_scored_pairs() const { return last_scored_pairs_; }
 
   /// Pairs exact-scored across the pruner's whole lifetime (every Rebuild /
-  /// OnTableAdded / OnTableUpdated). With LSH enabled this is the probe
-  /// workload — the sublinear-cost figure the 10k-table bench reports
-  /// against the exhaustive scan's quadratic count.
+  /// OnTableAdded / OnTableUpdated): the probe workload — the
+  /// sublinear-cost figure the 10k-table bench reports against the
+  /// exhaustive scan's quadratic count.
   size_t cumulative_scored_pairs() const { return cumulative_scored_pairs_; }
 
-  /// The band-bucket index backing the probe path (empty unless
-  /// options.lsh.enabled). Exposed so the serving layer's snapshots can
-  /// copy it and report bucket statistics.
+  /// The band-bucket index backing the probe (exposed for its bucket/entry
+  /// statistics).
   const LshIndex& lsh_index() const { return lsh_; }
 
   /// Ranked shortlist + totals, bit-identical to ShortlistPairs(catalog,
-  /// options) over the same live tables.
+  /// options) over the same live tables (under the recall contract above).
   PairPrunerResult Snapshot() const;
 
  private:
-  /// Survivors and considered-pair count for one unordered table pair.
-  struct Group {
-    std::vector<ColumnPairCandidate> survivors;
-    size_t considered = 0;
-  };
-
-  /// Exhaustive per-add scan: new columns against every tracked column.
-  void AddViaFullScan(const TableCatalog& catalog, uint32_t table_id,
-                      uint32_t num_new_columns, ThreadPool* pool);
-  /// Probe path: exact-score only band-bucket collisions.
-  void AddViaLshProbe(const TableCatalog& catalog, uint32_t table_id,
-                      uint32_t num_new_columns, ThreadPool* pool);
+  /// Probes `table_id` against the tracked columns, appends its (unsorted)
+  /// survivors to `out`, then indexes and tracks the table. Sets
+  /// last_scored_pairs_ to the probed count.
+  void FoldIn(const TableCatalog& catalog, uint32_t table_id,
+              ThreadPool* pool, std::vector<ColumnPairCandidate>* out);
 
   PairPrunerOptions options_;
-  /// Keyed by (lo table id, hi table id). Exhaustive mode keeps a group for
-  /// every scored pair — even with no survivors — so `considered` counts
-  /// stay exact. LSH mode keeps only groups with survivors (a million-table
-  /// corpus cannot afford N^2/2 empty map entries) and maintains
-  /// total_pairs_ arithmetically from per-table column counts instead.
-  std::map<std::pair<uint32_t, uint32_t>, Group> groups_;
+  /// Every survivor over the tracked tables, in RankBefore order (score
+  /// descending, then catalog order) — the untruncated shortlist.
+  std::vector<ColumnPairCandidate> ranked_;
   std::set<uint32_t> tracked_;
   /// Column count of each tracked table, recorded at add time — the catalog
   /// has typically tombstoned a table before OnTableRemoved runs, so the

@@ -76,6 +76,13 @@ Status ValidateOptions(const ServeOptions& options) {
         std::to_string(kMaxFrameBytes) + "]");
   }
   TJ_RETURN_IF_ERROR(ValidateOptions(options.discovery));
+  // The live pruner's LSH probe cannot see zero-score pairs, which a zero
+  // floor keeps: served shortlists are only exact at a positive floor.
+  if (!(options.discovery.pruner.min_containment > 0.0)) {
+    return Status::InvalidArgument(
+        "ServeOptions::discovery.pruner.min_containment must be > 0 (the "
+        "live pruner is lossless only at a positive floor)");
+  }
   return Status::OK();
 }
 
@@ -489,14 +496,12 @@ JsonValue CorpusServer::HandleStats() {
   response.Set("spilled_bytes",
                JsonValue::Number(
                    static_cast<double>(snapshot->spilled_bytes())));
-  if (snapshot->lsh_index() != nullptr) {
-    response.Set("lsh_buckets",
-                 JsonValue::Number(static_cast<double>(
-                     snapshot->lsh_index()->num_buckets())));
-    response.Set("lsh_entries",
-                 JsonValue::Number(static_cast<double>(
-                     snapshot->lsh_index()->num_entries())));
-  }
+  response.Set("lsh_buckets",
+               JsonValue::Number(
+                   static_cast<double>(snapshot->lsh_buckets())));
+  response.Set("lsh_entries",
+               JsonValue::Number(
+                   static_cast<double>(snapshot->lsh_entries())));
   // This epoch's index-cache counters: how much per-column index work the
   // served queries are sharing instead of rebuilding.
   const IndexCacheStats cache_stats = snapshot->index_cache()->GetStats();

@@ -115,7 +115,9 @@ struct ServeOptions {
 };
 
 /// Validates a ServeOptions (socket path present, timeouts/caps sane,
-/// nested discovery options valid). OK for defaults + a socket path.
+/// nested discovery options valid, and a positive containment floor — the
+/// live pruner's probe is lossless only above zero). OK for defaults + a
+/// socket path.
 Status ValidateOptions(const ServeOptions& options);
 
 /// JSON rendering of one per-pair result, shared by the server and tests

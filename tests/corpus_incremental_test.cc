@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "corpus/catalog.h"
 #include "corpus/corpus_discovery.h"
+#include "corpus/lsh_index.h"
 #include "corpus/pair_pruner.h"
 #include "datagen/corpus.h"
 
@@ -308,19 +309,46 @@ TEST(IncrementalPruner, AddScoresOnlyTheNewTablesPairs) {
   const size_t existing_columns = catalog.num_columns();
 
   IncrementalPairPruner pruner;
+  // Cross-table column pairs whose sketches share a band bucket, optionally
+  // only those touching `table` — exactly what the probe exact-scores.
+  const auto colliding_pairs = [&](const uint32_t* table) {
+    const std::vector<ColumnRef> columns = catalog.AllColumns();
+    size_t count = 0;
+    for (size_t i = 0; i < columns.size(); ++i) {
+      for (size_t j = i + 1; j < columns.size(); ++j) {
+        const ColumnRef a = columns[i];
+        const ColumnRef b = columns[j];
+        if (a.table == b.table) continue;
+        if (table != nullptr && a.table != *table && b.table != *table) {
+          continue;
+        }
+        if (LshIndex::BandsCollide(pruner.options().lsh, catalog.signature(a),
+                                   catalog.signature(b))) {
+          ++count;
+        }
+      }
+    }
+    return count;
+  };
+
   pruner.Rebuild(catalog);
-  // The full build scored the whole cross-table triangle.
-  EXPECT_EQ(pruner.last_scored_pairs(), pruner.Snapshot().total_pairs);
+  // The full build probed the cross-table triangle: at most every pair,
+  // exactly the colliding ones.
+  EXPECT_LE(pruner.last_scored_pairs(), pruner.Snapshot().total_pairs);
+  EXPECT_EQ(pruner.last_scored_pairs(), colliding_pairs(nullptr));
 
   const SynthCorpus extra = MakeCorpus("inc", 1, 0, 41);
   auto id = catalog.AddTable(extra.tables[0]);
   ASSERT_TRUE(id.ok());
   catalog.ComputeSignatures();
   pruner.OnTableAdded(catalog, *id);
-  // The add scored exactly new-columns x existing-columns pairs — O(N),
-  // not the O(N^2) triangle.
+  // The add scored only the (new, existing) pairs whose sketches collide
+  // in a band — never more than the new-columns x existing-columns row
+  // (O(N)), and never the O(N^2) triangle.
   const size_t new_columns = catalog.table(*id).num_columns();
-  EXPECT_EQ(pruner.last_scored_pairs(), new_columns * existing_columns);
+  const uint32_t new_id = *id;
+  EXPECT_LE(pruner.last_scored_pairs(), new_columns * existing_columns);
+  EXPECT_EQ(pruner.last_scored_pairs(), colliding_pairs(&new_id));
 
   // Removal rescales totals without scoring anything.
   const PairPrunerResult before = pruner.Snapshot();

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <filesystem>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,6 +106,124 @@ TEST(LshIndex, EmptySketchesAreNeverIndexedOrProbed) {
   EXPECT_FALSE(LshIndex::BandsCollide(LshOptions(), empty, empty));
 }
 
+/// Random sketch for the flat-table property test: each slot is empty, a
+/// value from a small shared alphabet (buckets with several members, long
+/// chains), or a fresh value (single-member buckets that empty out on
+/// removal, driving backward-shift deletion).
+ColumnSignature RandomSketch(Rng& rng) {
+  ColumnSignature sig;
+  sig.distinct_ngrams = 1;
+  sig.minhash.resize(128);
+  for (uint64_t& slot : sig.minhash) {
+    const uint64_t pick = rng.Uniform(10);
+    if (pick < 2) {
+      slot = kEmptyMinhashSlot;
+    } else if (pick < 7) {
+      slot = rng.Uniform(40);
+    } else {
+      slot = rng.NextU64() >> 1;
+    }
+  }
+  return sig;
+}
+
+// The open-addressed bucket table against a std::map oracle over seeded
+// random Insert/RemoveTable sequences: enough inserts to grow the slot
+// table many times, enough removals to empty buckets (backward-shift
+// deletion) and recycle entries, and Probe/num_buckets/num_entries checked
+// after every step.
+TEST(LshIndexProperty, FlatTableMatchesMapOracle) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    LshIndex index;
+    std::map<uint64_t, std::set<ColumnRef>> oracle;
+    std::map<ColumnRef, ColumnSignature> live;
+    std::vector<uint32_t> live_tables;
+    uint32_t next_table = 0;
+    size_t peak_buckets = 0;
+
+    const auto oracle_probe = [&](const ColumnSignature& sig) {
+      std::set<ColumnRef> hits;
+      for (uint64_t key : index.BandKeys(sig)) {
+        const auto bucket = oracle.find(key);
+        if (bucket != oracle.end()) {
+          hits.insert(bucket->second.begin(), bucket->second.end());
+        }
+      }
+      return std::vector<ColumnRef>(hits.begin(), hits.end());
+    };
+    const auto check = [&](const ColumnSignature& sig,
+                           const std::string& where) {
+      const std::vector<ColumnRef> expected = oracle_probe(sig);
+      const std::vector<ColumnRef> got = index.Probe(sig);
+      ASSERT_EQ(got.size(), expected.size()) << where;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(got[i] == expected[i]) << where << " hit " << i;
+      }
+    };
+
+    for (int step = 0; step < 600; ++step) {
+      const std::string where =
+          StrPrintf("seed %llu step %d", static_cast<unsigned long long>(seed),
+                    step);
+      if (live_tables.empty() || rng.Uniform(100) < 65) {
+        const uint32_t table = next_table++;
+        const auto columns = static_cast<uint32_t>(1 + rng.Uniform(3));
+        for (uint32_t c = 0; c < columns; ++c) {
+          const ColumnRef ref{table, c};
+          const ColumnSignature sig = RandomSketch(rng);
+          index.Insert(ref, sig);
+          for (uint64_t key : index.BandKeys(sig)) oracle[key].insert(ref);
+          live.emplace(ref, sig);
+        }
+        live_tables.push_back(table);
+      } else {
+        const size_t victim = rng.Uniform(live_tables.size());
+        const uint32_t table = live_tables[victim];
+        live_tables.erase(live_tables.begin() +
+                          static_cast<std::ptrdiff_t>(victim));
+        index.RemoveTable(table);
+        for (auto it = live.lower_bound(ColumnRef{table, 0});
+             it != live.end() && it->first.table == table;) {
+          for (uint64_t key : index.BandKeys(it->second)) {
+            auto bucket = oracle.find(key);
+            bucket->second.erase(it->first);
+            if (bucket->second.empty()) oracle.erase(bucket);
+          }
+          it = live.erase(it);
+        }
+        // Removing an id that holds nothing is a no-op.
+        index.RemoveTable(next_table + 1);
+      }
+      peak_buckets = std::max(peak_buckets, oracle.size());
+      ASSERT_EQ(index.num_buckets(), oracle.size()) << where;
+      ASSERT_EQ(index.num_entries(), live.size()) << where;
+
+      // A fresh sketch plus a sample of indexed ones every step; every
+      // indexed sketch every 50 steps.
+      check(RandomSketch(rng), where + " fresh");
+      if (step % 50 == 49) {
+        for (const auto& [ref, sig] : live) check(sig, where + " full");
+      } else if (!live.empty()) {
+        for (int k = 0; k < 4; ++k) {
+          auto it = live.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(
+                               rng.Uniform(live.size())));
+          check(it->second, where + " sample");
+        }
+      }
+    }
+    // Many times the 16-slot starting capacity.
+    EXPECT_GT(peak_buckets, 2048u);
+
+    // Draining every table empties the table completely.
+    for (uint32_t table : live_tables) index.RemoveTable(table);
+    EXPECT_EQ(index.num_buckets(), 0u);
+    EXPECT_EQ(index.num_entries(), 0u);
+    for (const auto& [ref, sig] : live) EXPECT_TRUE(index.Probe(sig).empty());
+  }
+}
+
 TEST(LshIndex, RecallGuaranteePredicate) {
   LshOptions lossless;  // 128 bands x 1 row
   EXPECT_TRUE(LshIndex::GuaranteesRecall(lossless, 128, 0.05));
@@ -140,7 +263,6 @@ TEST(LshMissedPairs, ZeroUnderLosslessBandingPositiveOnCoarse) {
   catalog.ComputeSignatures();
 
   PairPrunerOptions options;
-  options.lsh.enabled = true;
   ASSERT_TRUE(LshIndex::GuaranteesRecall(
       options.lsh, catalog.signature_options().num_hashes,
       options.min_containment));
@@ -225,7 +347,6 @@ class LshRecallPropertyTest : public ::testing::TestWithParam<bool> {
 
 TEST_P(LshRecallPropertyTest, ProbedShortlistMatchesFullScan) {
   PairPrunerOptions options;
-  options.lsh.enabled = true;
   ASSERT_TRUE(
       LshIndex::GuaranteesRecall(options.lsh, 128, options.min_containment));
 

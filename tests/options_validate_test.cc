@@ -15,6 +15,7 @@
 #include "corpus/signature.h"
 #include "join/join_engine.h"
 #include "match/row_matcher.h"
+#include "serve/server.h"
 #include "table/column.h"
 
 namespace tj {
@@ -171,6 +172,18 @@ TEST(ValidateOptionsTest, CorpusDiscoveryValidatesNested) {
     o.join.min_join_support = -1.0;
     EXPECT_FALSE(ValidateOptions(o).ok());
   }
+}
+
+TEST(ValidateOptionsTest, ServeRejectsZeroContainmentFloor) {
+  serve::ServeOptions o;
+  o.socket_path = "/tmp/tj-validate.sock";
+  EXPECT_TRUE(ValidateOptions(o).ok());
+  // The live pruner's probe cannot see the zero-score pairs a 0 floor
+  // keeps, so the daemon refuses it...
+  o.discovery.pruner.min_containment = 0.0;
+  ExpectRejected(ValidateOptions(o), "min_containment");
+  // ...while batch discovery keeps it as the brute-force baseline.
+  EXPECT_TRUE(ValidateOptions(o.discovery).ok());
 }
 
 }  // namespace

@@ -109,7 +109,6 @@ TEST_F(ScaleIngestTest, BudgetedLshIngestStaysSublinear) {
   EXPECT_LE(catalog.CachedResidentBytes(), storage.memory_budget_bytes);
 
   PairPrunerOptions options;
-  options.lsh.enabled = true;
   IncrementalPairPruner pruner(options);
   pruner.Rebuild(catalog, &pool);
 

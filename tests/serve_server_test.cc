@@ -317,6 +317,13 @@ TEST_F(ServerTest, MutationsAdvanceEpochAndAnswerErrors) {
   EXPECT_EQ(stats_json->Find("tables")->AsNumber(),
             static_cast<double>(corpus.tables.size() + 1));
   EXPECT_GE(stats_json->Find("mutations_applied")->AsNumber(), 2.0);
+  // The pruner's bucket statistics, captured as counts per epoch.
+  ASSERT_NE(stats_json->Find("lsh_buckets"), nullptr) << *stats;
+  ASSERT_NE(stats_json->Find("lsh_entries"), nullptr) << *stats;
+  EXPECT_GT(stats_json->Find("lsh_buckets")->AsNumber(), 0.0);
+  EXPECT_GT(stats_json->Find("lsh_entries")->AsNumber(), 0.0);
+  EXPECT_LE(stats_json->Find("lsh_entries")->AsNumber(),
+            stats_json->Find("columns")->AsNumber());
 }
 
 TEST_F(ServerTest, MalformedRequestsGetErrorResponsesAndDaemonSurvives) {
