@@ -912,7 +912,6 @@ int main(int argc, char** argv) {
         "  \"incremental_full_add_seconds\": %.6f,\n"
         "  \"incremental_full_rebuild_pairs\": %zu,\n"
         "  \"incremental_full_rebuild_seconds\": %.6f,\n"
-        "  \"incremental_pairs_per_second\": %.3f,\n"
         "  \"spill_total_cell_bytes\": %zu,\n"
         "  \"spill_budget_bytes\": %zu,\n"
         "  \"spill_rss_growth_bytes\": %zu,\n"
@@ -943,10 +942,6 @@ int main(int argc, char** argv) {
         inc_half.rebuild_pairs, inc_half.rebuild_seconds, inc_full.tables,
         inc_full.scored_pairs, inc_full.add_seconds, inc_full.rebuild_pairs,
         inc_full.rebuild_seconds,
-        inc_full.add_seconds > 0
-            ? static_cast<double>(inc_full.scored_pairs) /
-                  inc_full.add_seconds
-            : 0.0,
         spilled.total_cell_bytes, spilled.budget_bytes,
         spilled.rss_growth_bytes, spilled.seconds,
         spill_identical ? "true" : "false");

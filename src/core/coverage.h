@@ -1,6 +1,11 @@
-// Coverage computation (paper §4.1.5): apply every unique transformation to
-// every input row, guarded by the per-row negative-unit cache. The result is
-// a CSR index from transformation id to the rows it covers.
+// Coverage computation (paper §4.1.5): find, for every row, the unique
+// transformations whose output equals its target. The unit sequences are
+// folded into one suffix trie (each sequence reversed, so sequences sharing a
+// tail share a path) that is walked once per row: a node whose unit fails,
+// or whose output is not the tail of the still-unmatched target, rejects its
+// whole subtree at once. A per-row memo evaluates each unit at most once per
+// row; its failures are the paper's negative-unit cache. The result is a CSR
+// index from transformation id to the rows it covers.
 
 #ifndef TJ_CORE_COVERAGE_H_
 #define TJ_CORE_COVERAGE_H_
@@ -51,9 +56,11 @@ class CoverageIndex {
 };
 
 /// Evaluates every transformation in `store` against every row. With
-/// options.enable_neg_cache, a hash set per row of units known not to cover
-/// that row short-circuits the evaluation in O(units) id lookups (the
-/// paper's second pruning strategy).
+/// options.enable_neg_cache, unit outcomes are memoized per row and the
+/// transformations below a rejected trie node count as cache hits (the
+/// paper's second pruning strategy); without it every unit visit recomputes
+/// and those transformations count as full evaluations. The index is the
+/// same either way and at every thread count.
 CoverageIndex ComputeCoverage(const TransformationStore& store,
                               const UnitInterner& interner,
                               const std::vector<ExamplePair>& rows,

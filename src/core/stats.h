@@ -24,12 +24,19 @@ struct DiscoveryStats {
   uint64_t rows_capped = 0;
 
   // --- Coverage / negative-unit cache (pruning strategy 2) ---
-  /// (transformation, row) applications skipped because a unit was already
-  /// known not to cover the row.
+  // Coverage walks a suffix trie of the unit sequences once per row (see
+  // core/coverage.h); a rejected node skips every sequence below it.
+  // cache_hits + full_evaluations == transformations x rows.
+  /// (transformation, row) pairs skipped with the negative-unit cache on:
+  /// the transformation's terminal node lies strictly below a rejected node.
+  /// Always 0 with the cache off, where such pairs count as evaluations.
   uint64_t cache_hits = 0;
-  /// (transformation, row) pairs fully evaluated.
+  /// (transformation, row) pairs whose terminal node the walk reached
+  /// (a rejected node's own terminals included), plus, with the cache off,
+  /// the pairs below rejected nodes.
   uint64_t full_evaluations = 0;
-  /// Individual unit evaluations performed.
+  /// Unit evaluations performed: trie nodes visited whose unit was not
+  /// already memoized for the row (every visit with the cache off).
   uint64_t unit_evals = 0;
   /// (transformation, row) pairs that covered.
   uint64_t covering_pairs = 0;
@@ -64,8 +71,8 @@ struct DiscoveryStats {
                      static_cast<double>(generated_transformations);
   }
 
-  /// Fraction of candidate (transformation, row) applications skipped by the
-  /// negative-unit cache.
+  /// Fraction of candidate (transformation, row) applications skipped below
+  /// rejected trie nodes with the negative-unit cache on.
   double CacheHitRatio() const {
     const uint64_t considered = cache_hits + full_evaluations;
     if (considered == 0) return 0.0;
