@@ -1,9 +1,9 @@
 // Replacement global operator new/delete that tick the library's allocation
-// counters (common/alloc_stats.h). Compiled ONLY into the bench executables
-// that report allocation metrics (bench_table2, bench_corpus) — linking this
-// TU routes every allocation of the process through malloc/free plus two
-// relaxed atomic adds, which is measurement overhead the tests and examples
-// do not need to pay.
+// counters (common/alloc_stats.h). Compiled ONLY into the executables that
+// measure allocations (bench_table2 and the tj_alloc_tests binary) — linking
+// this TU routes every allocation of the process through malloc/free plus
+// two relaxed atomic adds, which is measurement overhead the other tests
+// and the examples do not need to pay.
 
 #include <cstdlib>
 #include <new>

@@ -186,8 +186,8 @@ bool BuildSelfTestCatalog(const tj::SynthCorpus& corpus,
 /// Pruning + golden recall of the end-to-end pipeline (the original smoke
 /// check, split so failures name the broken half).
 bool CheckPruningRatio(const tj::CorpusDiscoveryResult& result) {
-  if (result.PruningRatio() < 0.5) {
-    std::fprintf(stderr, "  expected >= 50%% pruning, got %.1f%%\n",
+  if (result.PruningRatio() <= 0.9) {
+    std::fprintf(stderr, "  expected > 90%% pruning, got %.1f%%\n",
                  100.0 * result.PruningRatio());
     return false;
   }

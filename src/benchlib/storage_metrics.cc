@@ -1,10 +1,8 @@
 #include "benchlib/storage_metrics.h"
 
 #include <sys/resource.h>
-#include <unistd.h>
 
 #include "index/inverted_index.h"
-#include "index/reference_postings.h"
 #include "table/storage_events.h"
 
 namespace tj {
@@ -16,23 +14,11 @@ size_t PeakRssBytes() {
   return static_cast<size_t>(usage.ru_maxrss) * 1024;
 }
 
-size_t CurrentRssBytes() {
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long vm_pages = 0;
-  unsigned long rss_pages = 0;
-  const int parsed = std::fscanf(f, "%lu %lu", &vm_pages, &rss_pages);
-  std::fclose(f);
-  if (parsed != 2) return 0;
-  return static_cast<size_t>(rss_pages) *
-         static_cast<size_t>(sysconf(_SC_PAGESIZE));
-}
-
 namespace {
 
-/// The peak to report: the bench's phase-sampled value when set (both
-/// benches fill the field before reporting, keeping the printed summary
-/// and the JSON tail identical), a fresh sample as a fallback otherwise.
+/// The peak to report: the bench's phase-sampled value when set (filling
+/// it before reporting keeps the printed summary and the JSON tail
+/// identical), a fresh sample as a fallback otherwise.
 size_t ReportedPeakRss(const StorageMetrics& m) {
   return m.peak_rss_bytes != 0 ? m.peak_rss_bytes : PeakRssBytes();
 }
@@ -40,33 +26,23 @@ size_t ReportedPeakRss(const StorageMetrics& m) {
 }  // namespace
 
 void StorageMetrics::MeasureColumn(const Column& column) {
-  const AllocCounters before_csr = CurrentAllocCounters();
+  const AllocCounters before = CurrentAllocCounters();
   const NgramInvertedIndex index =
       NgramInvertedIndex::Build(column, 4, 20, /*lowercase=*/true, 1);
-  const AllocCounters after_csr = CurrentAllocCounters();
-  csr.allocs += (after_csr - before_csr).allocs;
-  csr.bytes += (after_csr - before_csr).bytes;
+  const AllocCounters delta = CurrentAllocCounters() - before;
+  csr.allocs += delta.allocs;
+  csr.bytes += delta.bytes;
   index_total_postings += index.TotalPostings();
   index_memory_bytes += index.MemoryBytes();
-
-  const AllocCounters before_ref = CurrentAllocCounters();
-  const ReferencePostingsMap reference_map =
-      BuildReferencePostings(column, 4, 20, /*lowercase=*/true);
-  const AllocCounters after_ref = CurrentAllocCounters();
-  reference.allocs += (after_ref - before_ref).allocs;
-  reference.bytes += (after_ref - before_ref).bytes;
 }
 
 void PrintStorageSummary(const StorageMetrics& m) {
   std::printf(
       "storage: cells %zu bytes (%zu spilled); peak rss %zu bytes; index "
-      "build %llu allocs / %llu bytes "
-      "(reference map builder: %llu allocs / %llu bytes)%s\n",
+      "build %llu allocs / %llu bytes%s\n",
       m.cells_bytes, m.spilled_bytes, ReportedPeakRss(m),
       static_cast<unsigned long long>(m.csr.allocs),
       static_cast<unsigned long long>(m.csr.bytes),
-      static_cast<unsigned long long>(m.reference.allocs),
-      static_cast<unsigned long long>(m.reference.bytes),
       AllocCountingAvailable() ? "" : " [alloc hooks not linked]");
   const StorageEventCounters events = GetStorageEventCounters();
   if (events.heap_fallback_columns > 0 || events.spill_errors_recovered > 0) {
@@ -94,9 +70,7 @@ void WriteStorageJsonTail(std::FILE* f, const StorageMetrics& m) {
       "  \"spill_errors_recovered\": %llu,\n"
       "  \"alloc_counting_available\": %s,\n"
       "  \"index_build_allocs\": %llu,\n"
-      "  \"index_build_bytes_allocated\": %llu,\n"
-      "  \"index_build_allocs_reference\": %llu,\n"
-      "  \"index_build_bytes_allocated_reference\": %llu\n"
+      "  \"index_build_bytes_allocated\": %llu\n"
       "}\n",
       m.cells_bytes, m.spilled_bytes, ReportedPeakRss(m),
       m.index_total_postings, m.index_memory_bytes,
@@ -104,9 +78,7 @@ void WriteStorageJsonTail(std::FILE* f, const StorageMetrics& m) {
       static_cast<unsigned long long>(events.spill_errors_recovered),
       AllocCountingAvailable() ? "true" : "false",
       static_cast<unsigned long long>(m.csr.allocs),
-      static_cast<unsigned long long>(m.csr.bytes),
-      static_cast<unsigned long long>(m.reference.allocs),
-      static_cast<unsigned long long>(m.reference.bytes));
+      static_cast<unsigned long long>(m.csr.bytes));
 }
 
 }  // namespace tj

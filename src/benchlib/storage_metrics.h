@@ -1,11 +1,8 @@
-// Storage-core measurement shared by the allocation-reporting benches
-// (bench_table2, bench_corpus): column arena footprint, the spilled-bytes
-// and peak-RSS footprint of the out-of-core path, plus the index-build
-// allocation comparison — flat CSR build vs the retained map-based
-// reference builder (index/reference_postings.h) — double-built over the
-// same columns with the same n-gram range, counters read from
-// common/alloc_stats.h. Keeping the loop and the JSON field names in one
-// place is what keeps the two benches' CI records in sync.
+// Storage-core measurement: column arena footprint, the spilled-bytes and
+// peak-RSS footprint, and the allocation count of the flat CSR index build,
+// read from common/alloc_stats.h. bench_table2 records these fields in its
+// JSON; tests/alloc_index_build_test.cc bounds the same allocation count,
+// so the bench and the test measure the build with one loop.
 
 #ifndef TJ_BENCHLIB_STORAGE_METRICS_H_
 #define TJ_BENCHLIB_STORAGE_METRICS_H_
@@ -22,23 +19,16 @@ namespace tj {
 /// measured before any in-memory pass faults the whole corpus.
 size_t PeakRssBytes();
 
-/// Process resident set size right now, in bytes (/proc/self/statm on
-/// Linux; 0 where unavailable). Deltas across a phase bound its footprint
-/// even after an earlier phase raised the peak.
-size_t CurrentRssBytes();
-
 struct StorageMetrics {
   size_t cells_bytes = 0;           // sum of column arena bytes
   size_t spilled_bytes = 0;         // bytes held in mmap spill files
-  /// Peak RSS to report. ru_maxrss is a process-wide high-water mark, so a
-  /// bench with an out-of-core phase must sample this BEFORE its in-memory
-  /// passes fault the whole corpus (bench_corpus does, right after the
-  /// spilled run). 0 = sample at serialization time instead.
+  /// Peak RSS to report (a process-wide high-water mark, so sample it
+  /// right after the phase it describes). 0 = sample at serialization time
+  /// instead.
   size_t peak_rss_bytes = 0;
   size_t index_total_postings = 0;  // CSR postings over measured columns
   size_t index_memory_bytes = 0;    // CSR footprint of measured columns
   AllocCounters csr;                // allocations of the CSR builds
-  AllocCounters reference;          // allocations of the map-based builds
 
   /// Adds a table's arena + spill-file footprint to the byte counters (no
   /// index build).
@@ -47,13 +37,13 @@ struct StorageMetrics {
     spilled_bytes += table.SpilledBytes();
   }
 
-  /// Builds the n-gram index over `column` twice — flat CSR, then the
-  /// map-based reference — recording each pass's allocation counters and
-  /// the CSR index's size. The paper's n0=4, nmax=20 range, lowercased.
+  /// Builds the flat CSR n-gram index over `column` on one thread,
+  /// recording the build's allocation counters and the index's size. The
+  /// paper's n0=4, nmax=20 range, lowercased.
   void MeasureColumn(const Column& column);
 };
 
-/// One-line human-readable summary (printed by both benches).
+/// One-line human-readable summary.
 void PrintStorageSummary(const StorageMetrics& m);
 
 /// Writes the storage fields as the TAIL of a JSON object — the byte/alloc

@@ -1,7 +1,7 @@
-// Heap-allocation counters for the benchmark harness. The counters are
-// plain atomics that live in the library; they only tick when a binary also
-// links the replacement operator new/delete in bench/alloc_hooks.cc (the
-// bench executables do; tests and examples do not pay for the hooks).
+// Heap-allocation counters. The counters are plain atomics that live in the
+// library; they only tick when a binary also links the replacement operator
+// new/delete in bench/alloc_hooks.cc (bench_table2 and tj_alloc_tests do;
+// the other tests and the examples do not pay for the hooks).
 //
 // Usage:
 //   const AllocCounters before = CurrentAllocCounters();

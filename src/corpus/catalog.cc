@@ -145,7 +145,6 @@ class LineCursor {
   size_t pos_ = 0;
 };
 
-constexpr std::string_view kSignatureHeaderV1 = "# tj-signatures v1";
 constexpr std::string_view kSignatureHeaderV2 = "# tj-signatures v2";
 
 }  // namespace
@@ -363,6 +362,10 @@ uint64_t TableCatalog::fingerprint(uint32_t t) const {
   TJ_CHECK(t < tables_.size());
   TJ_CHECK(tables_[t].live);
   return tables_[t].fingerprint;
+}
+
+void TableCatalog::ReleaseIdleTable(uint32_t t) const {
+  if (budget_active()) table(t).ReleasePages();
 }
 
 size_t TableCatalog::num_columns() const {
@@ -694,9 +697,9 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
   std::vector<std::pair<ColumnRef, ColumnSignature>> staged;
   constexpr uint32_t kNoTable = ~0u;
   uint32_t current_table = kNoTable;
-  int version = 0;       // 0 = header not seen yet
+  bool saw_header = false;
   bool saw_options = false;
-  // v2: true while inside a table block whose sketches must be discarded
+  // True while inside a table block whose sketches must be discarded
   // (unknown table or stale fingerprint). Lines are still syntax-checked.
   bool skipping_block = false;
   // Whether the most recent column line (staged or skipped) is still
@@ -720,14 +723,11 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
 
     line = TrimAscii(line);
     if (line.empty()) continue;
-    if (version == 0) {
-      if (line == kSignatureHeaderV1) {
-        version = 1;
-      } else if (line == kSignatureHeaderV2) {
-        version = 2;
-      } else {
+    if (!saw_header) {
+      if (line != kSignatureHeaderV2) {
         return fail("missing tj-signatures header");
       }
+      saw_header = true;
       continue;
     }
     if (line[0] == '#') continue;
@@ -760,29 +760,14 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (column_pending) return fail("previous column missing its minhash");
       auto name = cursor.ParseQuoted();
       if (!name.ok()) return fail(name.status().message());
-      std::optional<uint64_t> recorded_fp;
-      if (version >= 2) {
-        if (!cursor.ConsumeKey("fp")) return fail("expected fp=");
-        auto fp = cursor.ParseU64();
-        if (!fp.ok()) return fail(fp.status().message());
-        recorded_fp = *fp;
-      }
+      if (!cursor.ConsumeKey("fp")) return fail("expected fp=");
+      auto fp = cursor.ParseU64();
+      if (!fp.ok()) return fail(fp.status().message());
       auto index = TableIndex(*name);
-      if (!index.ok()) {
-        // v2 entries for tables this catalog no longer has are stale, not
-        // fatal: skip the block. v1 has no way to tell stale from typo, so
-        // it fails closed.
-        if (version >= 2) {
-          skipping_block = true;
-          current_table = kNoTable;
-          continue;
-        }
-        return fail(index.status().message());
-      }
-      if (recorded_fp.has_value() &&
-          *recorded_fp != tables_[*index].fingerprint) {
-        // Stale v2 entry: the table's content changed since the cache was
-        // written. Self-invalidate — the sketches will be recomputed.
+      // An entry for a table this catalog no longer has, or whose content
+      // changed since the cache was written, is stale, not fatal: skip the
+      // block — the sketches will be recomputed.
+      if (!index.ok() || *fp != tables_[*index].fingerprint) {
         skipping_block = true;
         current_table = kNoTable;
         continue;
@@ -866,7 +851,7 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
     }
     return fail("unrecognized line");
   }
-  if (version == 0) {
+  if (!saw_header) {
     return Status::InvalidArgument("signatures: missing tj-signatures header");
   }
   if (column_pending) {

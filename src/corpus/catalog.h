@@ -81,6 +81,11 @@ class CorpusColumnSource {
   /// the safe default for sources that do not track content hashes (the
   /// cache is simply bypassed for their columns).
   virtual uint64_t table_fingerprint(uint32_t /*t*/) const { return 0; }
+  /// Called by EvaluateShortlist once no pending pair of the shortlist
+  /// reads table `t` any more. A source may drop the table's resident
+  /// pages here (bytes never change and views stay valid); the default
+  /// keeps everything resident.
+  virtual void ReleaseIdleTable(uint32_t /*t*/) const {}
 };
 
 class TableCatalog : public CorpusColumnSource {
@@ -220,6 +225,11 @@ class TableCatalog : public CorpusColumnSource {
   /// Column metadata without touching residency (see table_name).
   const std::string& column_name(ColumnRef ref) const override;
 
+  /// CorpusColumnSource: a spilled catalog under a memory budget writes
+  /// back and drops the idle table's resident pages, so a run's RSS tracks
+  /// the tables that still have pending pairs; otherwise a no-op.
+  void ReleaseIdleTable(uint32_t t) const override;
+
   const SignatureOptions& signature_options() const { return options_; }
   const StorageOptions& storage_options() const { return storage_; }
 
@@ -286,16 +296,16 @@ class TableCatalog : public CorpusColumnSource {
   /// Parses a SerializeSignatures dump and installs the signatures on the
   /// matching columns of this catalog.
   ///
-  /// v2 dumps self-invalidate: a table block whose name is unknown here or
+  /// Dumps self-invalidate: a table block whose name is unknown here or
   /// whose recorded fingerprint disagrees with the current table content is
   /// skipped (still syntax-checked), so stale sketches are silently dropped
   /// and recomputed by the next ComputeSignatures instead of being served.
   ///
-  /// v1-era dumps (no fingerprints) are accepted for migration but fail
-  /// closed: any disagreement — unknown table or column name, row-count
-  /// drift, malformed or truncated input, sketch parameters that differ
-  /// from this catalog's SignatureOptions — is an error and installs
-  /// nothing, forcing a rescan. Saving after a v1 load writes v2.
+  /// Everything else fails closed — any other header (including the
+  /// fingerprint-less v1 format), an unknown column name, row-count drift,
+  /// malformed or truncated input, sketch parameters that differ from this
+  /// catalog's SignatureOptions — is an error and installs nothing, forcing
+  /// a rescan.
   Status LoadSignatures(std::string_view text);
 
   /// Crash-safe save: serializes into `<path>.tmp`, fsyncs, then renames

@@ -128,78 +128,6 @@ void PrewarmIndexCache(const CorpusColumnSource& source,
       });
 }
 
-/// Shared pair-level fan-out: evaluates the shortlist on `pool`, one chunk
-/// per pair, each writing its own shortlist-order slot. `release_catalog`
-/// (optional) enables the budgeted page-release refcounting below; a
-/// snapshot-backed source passes nullptr.
-void EvaluateShortlistOnPool(const CorpusColumnSource& source,
-                             const TableCatalog* release_catalog,
-                             const PairPrunerResult& pruned,
-                             const CorpusDiscoveryOptions& options,
-                             ThreadPool* pool,
-                             CorpusDiscoveryResult* result) {
-  result->total_column_pairs = pruned.total_pairs;
-  result->pruned_pairs = pruned.pruned_pairs;
-  if (pruned.shortlist.empty()) return;
-
-  const JoinOptions join_options = PairJoinOptions(options, pool);
-
-  if (options.index_cache != nullptr) {
-    PrewarmIndexCache(source, pruned, join_options, pool);
-  }
-
-  // Out-of-core catalogs under a memory budget: when the LAST shortlisted
-  // pair touching a table finishes, its worker writes back and drops the
-  // table's resident pages (views stay valid; re-reads would fault back
-  // in), so the run's RSS tracks the tables that still have pending pairs
-  // instead of accumulating the whole corpus. Refcounting — rather than
-  // releasing after every pair — keeps hot tables shared by many pairs
-  // from being synced and re-faulted once per pair. Releasing never
-  // changes bytes, so determinism is unaffected.
-  std::unique_ptr<std::atomic<uint32_t>[]> pending_pairs;
-  if (release_catalog != nullptr &&
-      release_catalog->storage_options().spill_enabled() &&
-      release_catalog->storage_options().memory_budget_bytes > 0) {
-    pending_pairs =
-        std::make_unique<std::atomic<uint32_t>[]>(release_catalog->num_slots());
-    for (const ColumnPairCandidate& candidate : pruned.shortlist) {
-      pending_pairs[candidate.a.table].fetch_add(
-          1, std::memory_order_relaxed);
-      pending_pairs[candidate.b.table].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  }
-  const auto finish_table = [&](uint32_t t) {
-    if (pending_pairs[t].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      release_catalog->table(t).ReleasePages();
-    }
-  };
-
-  // One chunk per pair: pair costs vary wildly, so let the ticket scheduler
-  // balance. Each pair writes its own shortlist-order slot — the merged
-  // output never depends on scheduling or thread count.
-  result->results.resize(pruned.shortlist.size());
-  pool->ParallelFor(pruned.shortlist.size(), pruned.shortlist.size(),
-                    [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                        size_t end) {
-                      for (size_t i = begin; i < end; ++i) {
-                        const ColumnPairCandidate& candidate =
-                            pruned.shortlist[i];
-                        result->results[i] = EvaluatePair(
-                            source, candidate, join_options,
-                            options.use_orientation_hints);
-                        if (pending_pairs != nullptr) {
-                          finish_table(candidate.a.table);
-                          finish_table(candidate.b.table);
-                        }
-                      }
-                    });
-
-  for (const CorpusPairResult& pair : result->results) {
-    if (!pair.error.empty()) ++result->failed_pairs;
-  }
-}
-
 }  // namespace
 
 std::string CorpusDiscoveryResult::Describe(const CorpusColumnSource& catalog,
@@ -248,8 +176,6 @@ Status ValidateOptions(const CorpusDiscoveryOptions& options) {
 
 CorpusDiscoveryResult DiscoverJoinableColumns(
     TableCatalog* catalog, const CorpusDiscoveryOptions& options) {
-  CorpusDiscoveryResult result;
-
   // The run's single pool: signatures, pair scoring, pair-level fan-out,
   // and (through the options plumbing) every per-pair phase.
   ThreadPool pool(options.num_threads);
@@ -257,30 +183,70 @@ CorpusDiscoveryResult DiscoverJoinableColumns(
   catalog->ComputeSignatures(&pool);
   const PairPrunerResult pruned =
       ShortlistPairs(*catalog, options.pruner, &pool);
-  EvaluateShortlistOnPool(*catalog, catalog, pruned, options, &pool,
-                          &result);
-  return result;
-}
-
-CorpusDiscoveryResult EvaluateShortlist(const TableCatalog& catalog,
-                                        const PairPrunerResult& shortlist,
-                                        const CorpusDiscoveryOptions& options,
-                                        ThreadPool* pool) {
-  CorpusDiscoveryResult result;
-  PoolRef pool_ref(pool, options.num_threads);
-  EvaluateShortlistOnPool(catalog, &catalog, shortlist, options,
-                          &pool_ref.get(), &result);
-  return result;
+  return EvaluateShortlist(*catalog, pruned, options, &pool);
 }
 
 CorpusDiscoveryResult EvaluateShortlist(const CorpusColumnSource& source,
                                         const PairPrunerResult& shortlist,
                                         const CorpusDiscoveryOptions& options,
-                                        ThreadPool* pool) {
+                                        ThreadPool* shared_pool) {
+  PoolRef pool_ref(shared_pool, options.num_threads);
+  ThreadPool* pool = &pool_ref.get();
   CorpusDiscoveryResult result;
-  PoolRef pool_ref(pool, options.num_threads);
-  EvaluateShortlistOnPool(source, /*release_catalog=*/nullptr, shortlist,
-                          options, &pool_ref.get(), &result);
+  result.total_column_pairs = shortlist.total_pairs;
+  result.pruned_pairs = shortlist.pruned_pairs;
+  if (shortlist.shortlist.empty()) return result;
+
+  const JoinOptions join_options = PairJoinOptions(options, pool);
+
+  if (options.index_cache != nullptr) {
+    PrewarmIndexCache(source, shortlist, join_options, pool);
+  }
+
+  // When the LAST shortlisted pair touching a table finishes, its worker
+  // hands the table to the source's ReleaseIdleTable hook (a budgeted
+  // spilled catalog drops its resident pages there). Refcounting — rather
+  // than releasing after every pair — keeps hot tables shared by many
+  // pairs from being synced and re-faulted once per pair. Releasing never
+  // changes bytes, so determinism is unaffected.
+  uint32_t num_tables = 0;
+  for (const ColumnPairCandidate& candidate : shortlist.shortlist) {
+    num_tables = std::max({num_tables, candidate.a.table + 1,
+                           candidate.b.table + 1});
+  }
+  const auto pending_pairs =
+      std::make_unique<std::atomic<uint32_t>[]>(num_tables);
+  for (const ColumnPairCandidate& candidate : shortlist.shortlist) {
+    pending_pairs[candidate.a.table].fetch_add(1, std::memory_order_relaxed);
+    pending_pairs[candidate.b.table].fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto finish_table = [&](uint32_t t) {
+    if (pending_pairs[t].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      source.ReleaseIdleTable(t);
+    }
+  };
+
+  // One chunk per pair: pair costs vary wildly, so let the ticket scheduler
+  // balance. Each pair writes its own shortlist-order slot — the merged
+  // output never depends on scheduling or thread count.
+  result.results.resize(shortlist.shortlist.size());
+  pool->ParallelFor(shortlist.shortlist.size(), shortlist.shortlist.size(),
+                    [&](int /*worker*/, size_t /*chunk*/, size_t begin,
+                        size_t end) {
+                      for (size_t i = begin; i < end; ++i) {
+                        const ColumnPairCandidate& candidate =
+                            shortlist.shortlist[i];
+                        result.results[i] = EvaluatePair(
+                            source, candidate, join_options,
+                            options.use_orientation_hints);
+                        finish_table(candidate.a.table);
+                        finish_table(candidate.b.table);
+                      }
+                    });
+
+  for (const CorpusPairResult& pair : result.results) {
+    if (!pair.error.empty()) ++result.failed_pairs;
+  }
   return result;
 }
 

@@ -132,25 +132,18 @@ CorpusDiscoveryResult DiscoverJoinableColumns(
 /// an IncrementalPairPruner::Snapshot() after add/remove/update operations
 /// — with the same shared-pool fan-out and shortlist-order output as
 /// DiscoverJoinableColumns (which is exactly this after a from-scratch
-/// ShortlistPairs). Candidates must come from this catalog's pruner so the
-/// refs and orientation hints are valid. Pass the pool that already drove
-/// the incremental maintenance to keep the whole run on one pool; with
+/// ShortlistPairs). Candidates must come from this source's pruner so the
+/// refs and orientation hints are valid. The source may be the live
+/// catalog or a serve::CorpusSnapshot: a served query runs exactly the
+/// per-pair engine a batch run does and produces bit-identical per-pair
+/// results. Once the last pair touching a table finishes, the source's
+/// ReleaseIdleTable hook runs for it. Pass the pool that already drove the
+/// incremental maintenance to keep the whole run on one pool; with
 /// `pool == nullptr` a pool of options.num_threads is constructed.
-CorpusDiscoveryResult EvaluateShortlist(const TableCatalog& catalog,
-                                        const PairPrunerResult& shortlist,
-                                        const CorpusDiscoveryOptions& options,
-                                        ThreadPool* pool = nullptr);
-
-/// Source-generic variant of EvaluateShortlist: evaluates the shortlist
-/// against any CorpusColumnSource — in particular a serve::CorpusSnapshot,
-/// so a served query runs exactly the per-pair engine a batch run does and
-/// produces bit-identical per-pair results. The budget-driven page-release
-/// refcounting of the catalog overload does not apply here (releasing is a
-/// live-catalog concern; snapshots release with their last reference).
 CorpusDiscoveryResult EvaluateShortlist(const CorpusColumnSource& source,
                                         const PairPrunerResult& shortlist,
                                         const CorpusDiscoveryOptions& options,
-                                        ThreadPool* pool);
+                                        ThreadPool* pool = nullptr);
 
 /// Runs the per-pair engine on a single candidate — the serving layer's
 /// transform-join path for a pair the pruner never shortlisted. Identical

@@ -177,13 +177,14 @@ class IncrementalPairPruner {
   const std::set<uint32_t>& tracked_tables() const { return tracked_; }
 
   /// Cross-table column pairs scored by the most recent Rebuild /
-  /// OnTableAdded / OnTableUpdated (the incremental-cost metric the
-  /// bench_corpus incremental benchmark reports).
+  /// OnTableAdded / OnTableUpdated: the incremental-cost metric
+  /// (ScaleIngestTest.ProbedShortlistMatchesFullScan bounds one add into a
+  /// 10k-table corpus).
   size_t last_scored_pairs() const { return last_scored_pairs_; }
 
   /// Pairs exact-scored across the pruner's whole lifetime (every Rebuild /
   /// OnTableAdded / OnTableUpdated): the probe workload — the
-  /// sublinear-cost figure the 10k-table bench reports against the
+  /// sublinear-cost figure the 10k-table scale test bounds against the
   /// exhaustive scan's quadratic count.
   size_t cumulative_scored_pairs() const { return cumulative_scored_pairs_; }
 

@@ -13,8 +13,8 @@
 // plus one open-addressed slot table mapping hash(gram) -> gram id. No
 // per-gram heap node, no per-gram posting vector: the build performs O(1)
 // allocations (amortized growth of the flat buffers) instead of O(distinct
-// grams) — bench_table2's JSON records the measured difference against the
-// retained map-based reference builder (index/reference_postings.h).
+// grams) — bench_table2's JSON records the measured count, and
+// tests/alloc_index_build_test.cc bounds it.
 //
 // Gram ids are assigned in global first-seen row-scan order, which the
 // sharded parallel build reproduces exactly (shards cover ascending row

@@ -357,9 +357,7 @@ JsonValue CorpusServer::HandleJoinable(const JsonValue& request) {
   const std::shared_ptr<const CorpusSnapshot> snapshot = current_snapshot();
   // This epoch's shared per-column indexes; the snapshot (held for the
   // whole evaluation) keeps the cache alive.
-  if (options_.index_cache_enabled) {
-    options->index_cache = snapshot->index_cache().get();
-  }
+  options->index_cache = snapshot->index_cache().get();
   Result<ColumnRef> ref = snapshot->ResolveColumn(column->AsString());
   if (!ref.ok()) return ErrorResponse(ref.status());
 
@@ -401,9 +399,7 @@ JsonValue CorpusServer::HandleTransformJoin(const JsonValue& request) {
   if (!options.ok()) return ErrorResponse(options.status());
 
   const std::shared_ptr<const CorpusSnapshot> snapshot = current_snapshot();
-  if (options_.index_cache_enabled) {
-    options->index_cache = snapshot->index_cache().get();
-  }
+  options->index_cache = snapshot->index_cache().get();
   Result<ColumnRef> source_ref = snapshot->ResolveColumn(source->AsString());
   if (!source_ref.ok()) return ErrorResponse(source_ref.status());
   Result<ColumnRef> target_ref = snapshot->ResolveColumn(target->AsString());

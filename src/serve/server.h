@@ -98,11 +98,6 @@ struct ServeOptions {
   /// hit/miss/byte counters.
   size_t index_cache_budget_bytes = kDefaultIndexCacheBudgetBytes;
 
-  /// Escape hatch (and the bench's before/after switch): false serves
-  /// every query with legacy per-pair index rebuilds. The snapshot still
-  /// carries its (idle) cache, so stats keep reporting the counters.
-  bool index_cache_enabled = true;
-
   /// Discovery configuration served queries run with (per-request
   /// "support" overrides only min_join_support). Also carries the pruner
   /// options the live shortlist is maintained with. Its index_cache handle

@@ -2,7 +2,7 @@
 // stack never aborts on a spill I/O failure — it falls back to the heap or
 // skips the optimization and keeps going — so these counters (plus a stderr
 // warning at the event site) are how a run reports that it survived
-// something. bench_corpus --json and the fault-injection tests read them.
+// something. bench_table2 --json and the fault-injection tests read them.
 
 #ifndef TJ_TABLE_STORAGE_EVENTS_H_
 #define TJ_TABLE_STORAGE_EVENTS_H_

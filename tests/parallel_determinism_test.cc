@@ -7,16 +7,19 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/discovery.h"
 #include "core/example.h"
 #include "datagen/synth.h"
 #include "index/inverted_index.h"
-#include "index/reference_postings.h"
 #include "join/join_engine.h"
 #include "match/row_matcher.h"
+#include "text/ngram.h"
 
 namespace tj {
 namespace {
@@ -244,9 +247,39 @@ TEST(ParallelIndexBuild, IdenticalPostingsAcrossThreadCounts) {
   }
 }
 
+using ReferencePostingsMap =
+    std::unordered_map<std::string, std::vector<uint32_t>, StringHash,
+                       StringEq>;
+
+/// The oracle for the CSR index: a serial map-based build with one heap
+/// string and one growable posting vector per distinct gram. Same
+/// semantics as NgramInvertedIndex::Build (ascending, per-row-deduplicated
+/// posting lists; optional ASCII lowercasing).
+ReferencePostingsMap BuildReferencePostings(const Column& column, size_t n0,
+                                            size_t nmax, bool lowercase) {
+  ReferencePostingsMap postings;
+  for (size_t row = 0; row < column.size(); ++row) {
+    std::string lowered;
+    std::string_view text = column.Get(row);
+    if (lowercase) {
+      lowered = ToLowerAscii(text);
+      text = lowered;
+    }
+    for (size_t n = n0; n <= nmax && n <= text.size(); ++n) {
+      ForEachNgram(text, n, [&](std::string_view gram) {
+        std::vector<uint32_t>& rows = postings[std::string(gram)];
+        if (rows.empty() || rows.back() != static_cast<uint32_t>(row)) {
+          rows.push_back(static_cast<uint32_t>(row));
+        }
+      });
+    }
+  }
+  return postings;
+}
+
 TEST(ParallelIndexBuild, CsrMatchesMapReferenceBuilder) {
-  // The flat CSR index must agree gram-for-gram with the retained map-based
-  // reference builder (the pre-refactor storage model), lowercased and not.
+  // The flat CSR index must agree gram-for-gram with the map-based
+  // reference builder above, lowercased and not.
   const SynthDataset ds = GenerateSynth(SynthN(40, 29));
   const Column& column = ds.pair.SourceColumn();
   for (const bool lowercase : {false, true}) {

@@ -4,8 +4,9 @@
 // signature/eviction scans, and the LSH probe path of the incremental
 // pruner, whose whole point is that folding a table into a 10k-table corpus
 // must not score 10k pairs. The unit suites cover correctness at toy sizes;
-// this suite proves the machinery stays sublinear and budget-respecting at
-// a size those never reach, in seconds rather than minutes.
+// this suite proves the machinery stays sublinear, budget-respecting and
+// identical to the exhaustive scan at a size those never reach, in seconds
+// rather than minutes.
 
 #include <unistd.h>
 
@@ -131,12 +132,59 @@ TEST_F(ScaleIngestTest, BudgetedLshIngestStaysSublinear) {
 
   // Lossless banding at the default floor: the guarantee predicate must
   // hold for this configuration, so nothing the full scan would keep can
-  // escape the buckets. (The exhaustive CountLshMissedPairs cross-check
-  // lives in the corpus suite and the bench — a 50M-pair full scan is not
-  // smoke-test material.)
+  // escape the buckets (ProbedShortlistMatchesFullScan below checks it
+  // against the exhaustive scan).
   ASSERT_TRUE(LshIndex::GuaranteesRecall(
       options.lsh, catalog.signature_options().num_hashes,
       options.min_containment));
+}
+
+TEST_F(ScaleIngestTest, ProbedShortlistMatchesFullScan) {
+  TableCatalog catalog;
+  for (size_t i = 0; i < kTables; ++i) {
+    auto added = catalog.AddTable(MakeTinyTable(i));
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+  }
+  ThreadPool pool(4);
+  catalog.ComputeSignatures(&pool);
+  PairPrunerOptions options;
+  ASSERT_EQ(options.max_candidates, 0u);  // the full scan below is untruncated
+  IncrementalPairPruner pruner(options);
+  pruner.Rebuild(catalog, &pool);
+
+  // The steady-state cost of folding one fresh table into the 10k-table
+  // live corpus: the probe scores only its bucket collisions, pinned at
+  // the count measured on this fixture (a linear scan would score 10k).
+  Table extra("scale-extra");
+  Column value("value");
+  for (size_t r = 0; r < kRows; ++r) value.Append(CellText(kTables + 7, r));
+  ASSERT_TRUE(extra.AddColumn(std::move(value)).ok());
+  auto id = catalog.AddTable(std::move(extra));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  catalog.ComputeSignatures(&pool);
+  pruner.OnTableAdded(catalog, *id, &pool);
+  EXPECT_LE(pruner.last_scored_pairs(), 15u);
+
+  // The probed shortlist must be identical to the exhaustive scan, rank for
+  // rank, and lossless banding must have missed no full-scan survivor.
+  const PairPrunerResult full = ShortlistPairs(catalog, options, &pool);
+  const PairPrunerResult probed = pruner.Snapshot();
+  ASSERT_EQ(probed.total_pairs, full.total_pairs);
+  ASSERT_EQ(probed.pruned_pairs, full.pruned_pairs);
+  ASSERT_EQ(probed.shortlist.size(), full.shortlist.size());
+  size_t missed = 0;
+  for (size_t i = 0; i < full.shortlist.size(); ++i) {
+    const ColumnPairCandidate& want = full.shortlist[i];
+    const ColumnPairCandidate& got = probed.shortlist[i];
+    ASSERT_TRUE(got.a == want.a && got.b == want.b && got.score == want.score &&
+                got.a_is_source == want.a_is_source)
+        << "rank " << i;
+    if (!LshIndex::BandsCollide(options.lsh, catalog.signature(want.a),
+                                catalog.signature(want.b))) {
+      ++missed;
+    }
+  }
+  EXPECT_EQ(missed, 0u);
 }
 
 }  // namespace
