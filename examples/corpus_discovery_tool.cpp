@@ -1,14 +1,14 @@
 // corpus_discovery_tool: repository-scale joinable-column discovery over a
 // directory of CSV tables.
 //
-//   corpus_discovery_tool <csv-dir> [--threads N] [--min-containment F]
-//                         [--max-candidates N] [--support F] [--top K]
-//                         [--signatures cache.tj] [--out results.csv]
-//                         [--add FILE]... [--remove NAME]... [--update FILE]...
-//   corpus_discovery_tool <csv-dir> --serve SOCKET [--watch DIR] [...]
+//   corpus_discovery_tool <csv-dir> [flags]
+//   corpus_discovery_tool <csv-dir> --serve SOCKET [--watch DIR] [flags]
 //   corpus_discovery_tool --client SOCKET JSON...
-//   corpus_discovery_tool --gen <dir> [--tables N] [--rows N] [--seed S]
+//   corpus_discovery_tool --gen DIR [--tables N] [--rows N] [--seed S]
 //   corpus_discovery_tool --selftest
+//
+// (run without arguments for the flag list; each flag applies to the modes
+// its help names, --simd to all of them)
 //
 // Default mode registers every *.csv file of <csv-dir> in a TableCatalog,
 // sketches the columns, prunes the column-pair space with the MinHash
@@ -40,15 +40,16 @@
 // checks (used as a ctest smoke test).
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "benchlib/report.h"
-#include "common/failpoint.h"
-#include "common/simd.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "corpus/catalog.h"
@@ -63,70 +64,13 @@
 
 namespace {
 
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s <csv-dir> [--threads N] [--min-containment F]\n"
-      "          [--max-candidates N] [--support F] [--top K]\n"
-      "          [--signatures cache.tj] [--out results.csv]\n"
-      "          [--spill-dir DIR] [--memory-budget BYTES]\n"
-      "          [--index-cache-budget BYTES]\n"
-      "          [--lsh-bands N] [--lsh-rows N]\n"
-      "          [--failpoints SPEC]\n"
-      "          [--add FILE]... [--remove NAME]... [--update FILE]...\n"
-      "       %s <csv-dir> --serve SOCKET [--watch DIR] [options]\n"
-      "       %s --client SOCKET JSON...\n"
-      "       %s --gen <dir> [--tables N] [--rows N] [--seed S]\n"
-      "       %s --selftest\n"
-      "  --simd scalar|avx2|auto: pin the kernel dispatch level (any mode;\n"
-      "      'auto' = best the CPU supports; kernels are bit-identical\n"
-      "      across levels, so this only changes speed)\n"
-      "  --threads N: pair-level worker threads (0 = all cores, default)\n"
-      "  --min-containment F: sketch containment pruning floor "
-      "(default 0.05; 0 = brute force,\n"
-      "      batch runs only: --add/--remove/--update and --serve need a\n"
-      "      positive floor)\n"
-      "  --signatures F: load/save the column sketch cache (v2: stale\n"
-      "      entries self-invalidate via per-table fingerprints)\n"
-      "  --spill-dir DIR: land table bytes in mmap-backed files under DIR\n"
-      "      (out-of-core catalogs; ingest streams block-wise)\n"
-      "  --memory-budget BYTES: resident cell-byte budget (k/m/g suffixes\n"
-      "      ok); cold tables are evicted to their spill files and\n"
-      "      re-mapped on access. Requires --spill-dir\n"
-      "  --index-cache-budget BYTES: byte budget for the per-column\n"
-      "      inverted-index cache shared across pair evaluations (default\n"
-      "      256m, 0 = unlimited); in serve mode, each snapshot's\n"
-      "      per-epoch cache budget\n"
-      "  --add F / --remove NAME / --update F: incremental catalog\n"
-      "      maintenance; only the touched table's LSH bucket-colliding\n"
-      "      pairs are rescored\n"
-      "  --lsh-bands N / --lsh-rows N: banding geometry of the incremental\n"
-      "      and served pruner's LSH probe (bands x rows per band; the\n"
-      "      default 128x1 is lossless at any positive --min-containment;\n"
-      "      coarser settings trade recall for fewer probes)\n"
-      "  --failpoints SPEC: arm fault-injection sites, e.g.\n"
-      "      'mmap/sync=p:0.5,errno:EIO;mmap/ftruncate=errno:ENOSPC'\n"
-      "      (requires a -DTJ_FAILPOINTS=ON build)\n"
-      "  --serve SOCKET: run as tjd, answering joinable/transform-join/\n"
-      "      add/update/remove/stats requests over the unix socket\n"
-      "      (length-prefixed JSON frames; snapshot-isolated epochs)\n"
-      "  --watch DIR: with --serve, mirror DIR's *.csv files into the\n"
-      "      live catalog (debounced; add/update/remove by file stem)\n"
-      "  --client SOCKET JSON...: send each JSON argument as one request\n"
-      "      to a running daemon and print each response on its own line\n",
-      argv0, argv0, argv0, argv0, argv0);
-  return 2;
-}
-
-int GenerateDemoCorpus(const std::string& dir, size_t tables, size_t rows,
-                       uint64_t seed) {
+tj::Status GenerateDemoCorpus(const std::string& dir, size_t tables,
+                              size_t rows, uint64_t seed) {
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
-    std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
-    return 1;
+    return tj::Status::IOError("cannot create " + dir + ": " + ec.message());
   }
   tj::SynthCorpusOptions options;
   // `tables` counts total tables: 2 per joinable pair plus ~20%% noise.
@@ -136,14 +80,8 @@ int GenerateDemoCorpus(const std::string& dir, size_t tables, size_t rows,
   options.seed = seed;
   const tj::SynthCorpus corpus = tj::GenerateSynthCorpus(options);
   for (const tj::Table& table : corpus.tables) {
-    const std::string path =
-        (fs::path(dir) / (table.name() + ".csv")).string();
-    const tj::Status written = tj::WriteCsvFile(table, path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", path.c_str(),
-                   written.ToString().c_str());
-      return 1;
-    }
+    TJ_RETURN_IF_ERROR(tj::WriteCsvFile(
+        table, (fs::path(dir) / (table.name() + ".csv")).string()));
   }
   std::printf("wrote %zu tables (%zu joinable pairs, %zu noise) to %s\n",
               corpus.tables.size(), options.num_joinable_pairs,
@@ -153,7 +91,7 @@ int GenerateDemoCorpus(const std::string& dir, size_t tables, size_t rows,
                 corpus.tables[golden.source_table].name().c_str(),
                 corpus.tables[golden.target_table].name().c_str());
   }
-  return 0;
+  return tj::Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -162,41 +100,26 @@ int GenerateDemoCorpus(const std::string& dir, size_t tables, size_t rows,
 // pinpoints exactly which guarantee regressed.
 // ---------------------------------------------------------------------------
 
-tj::SynthCorpus SelfTestCorpus() {
-  tj::SynthCorpusOptions corpus_options;
-  corpus_options.num_joinable_pairs = 4;
-  corpus_options.num_noise_tables = 2;
-  corpus_options.rows = 30;
-  corpus_options.seed = 5;
-  return tj::GenerateSynthCorpus(corpus_options);
-}
-
-bool BuildSelfTestCatalog(const tj::SynthCorpus& corpus,
-                          tj::TableCatalog* catalog) {
+tj::Status BuildSelfTestCatalog(const tj::SynthCorpus& corpus,
+                                tj::TableCatalog* catalog) {
   for (const tj::Table& table : corpus.tables) {
-    auto added = catalog->AddTable(table);
-    if (!added.ok()) {
-      std::fprintf(stderr, "  %s\n", added.status().ToString().c_str());
-      return false;
-    }
+    TJ_RETURN_IF_ERROR(catalog->AddTable(table).status());
   }
-  return true;
+  return tj::Status::OK();
 }
 
+/// Each check returns OK or an error whose message says what broke.
+///
 /// Pruning + golden recall of the end-to-end pipeline (the original smoke
 /// check, split so failures name the broken half).
-bool CheckPruningRatio(const tj::CorpusDiscoveryResult& result) {
-  if (result.PruningRatio() <= 0.9) {
-    std::fprintf(stderr, "  expected > 90%% pruning, got %.1f%%\n",
-                 100.0 * result.PruningRatio());
-    return false;
-  }
-  return true;
+tj::Status CheckPruningRatio(const tj::CorpusDiscoveryResult& result) {
+  if (result.PruningRatio() > 0.9) return tj::Status::OK();
+  return tj::Status::Internal(tj::StrPrintf(
+      "expected > 90%% pruning, got %.1f%%", 100.0 * result.PruningRatio()));
 }
 
-bool CheckGoldenJoins(const tj::SynthCorpus& corpus,
-                      const tj::CorpusDiscoveryResult& result) {
-  bool ok = true;
+tj::Status CheckGoldenJoins(const tj::SynthCorpus& corpus,
+                            const tj::CorpusDiscoveryResult& result) {
   for (const auto& golden : corpus.golden) {
     bool found = false;
     for (const tj::CorpusPairResult& pair : result.results) {
@@ -205,25 +128,22 @@ bool CheckGoldenJoins(const tj::SynthCorpus& corpus,
            pair.target.table == golden.target_table) ||
           (pair.source.table == golden.target_table &&
            pair.target.table == golden.source_table);
-      if (matches && pair.joined_rows > 0) {
-        found = true;
-        break;
-      }
+      found = found || (matches && pair.joined_rows > 0);
     }
     if (!found) {
-      std::fprintf(stderr, "  golden pair %s <-> %s not joined\n",
-                   corpus.tables[golden.source_table].name().c_str(),
-                   corpus.tables[golden.target_table].name().c_str());
-      ok = false;
+      return tj::Status::Internal(
+          "golden pair " + corpus.tables[golden.source_table].name() +
+          " <-> " + corpus.tables[golden.target_table].name() +
+          " not joined");
     }
   }
-  return ok;
+  return tj::Status::OK();
 }
 
 /// Incremental add/remove must match a from-scratch shortlist rebuild.
-bool CheckIncrementalEquivalence(const tj::SynthCorpus& corpus) {
+tj::Status CheckIncrementalEquivalence(const tj::SynthCorpus& corpus) {
   tj::TableCatalog catalog;
-  if (!BuildSelfTestCatalog(corpus, &catalog)) return false;
+  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &catalog));
   catalog.ComputeSignatures();
   const tj::PairPrunerOptions pruner_options;
   tj::IncrementalPairPruner pruner(pruner_options);
@@ -238,21 +158,15 @@ bool CheckIncrementalEquivalence(const tj::SynthCorpus& corpus) {
   extra_options.name_prefix = "inc";
   const tj::SynthCorpus extra = tj::GenerateSynthCorpus(extra_options);
 
-  auto added = catalog.AddTable(extra.tables[0]);
-  if (!added.ok()) {
-    std::fprintf(stderr, "  %s\n", added.status().ToString().c_str());
-    return false;
-  }
+  TJ_ASSIGN_OR_RETURN(const uint32_t added, catalog.AddTable(extra.tables[0]));
   catalog.ComputeSignatures();
-  pruner.OnTableAdded(catalog, *added);
+  pruner.OnTableAdded(catalog, added);
 
   const std::string removed_name = corpus.tables[0].name();
-  auto removed_id = catalog.TableIndex(removed_name);
-  if (!removed_id.ok() || !catalog.RemoveTable(removed_name).ok()) {
-    std::fprintf(stderr, "  cannot remove %s\n", removed_name.c_str());
-    return false;
-  }
-  pruner.OnTableRemoved(*removed_id);
+  TJ_ASSIGN_OR_RETURN(const uint32_t removed_id,
+                      catalog.TableIndex(removed_name));
+  TJ_RETURN_IF_ERROR(catalog.RemoveTable(removed_name));
+  pruner.OnTableRemoved(removed_id);
 
   const tj::PairPrunerResult incremental = pruner.Snapshot();
   const tj::PairPrunerResult scratch =
@@ -260,85 +174,70 @@ bool CheckIncrementalEquivalence(const tj::SynthCorpus& corpus) {
   if (incremental.total_pairs != scratch.total_pairs ||
       incremental.pruned_pairs != scratch.pruned_pairs ||
       incremental.shortlist.size() != scratch.shortlist.size()) {
-    std::fprintf(stderr,
-                 "  totals diverge: incremental %zu/%zu/%zu vs scratch "
-                 "%zu/%zu/%zu\n",
-                 incremental.total_pairs, incremental.pruned_pairs,
-                 incremental.shortlist.size(), scratch.total_pairs,
-                 scratch.pruned_pairs, scratch.shortlist.size());
-    return false;
+    return tj::Status::Internal(tj::StrPrintf(
+        "totals diverge: incremental %zu/%zu/%zu vs scratch %zu/%zu/%zu",
+        incremental.total_pairs, incremental.pruned_pairs,
+        incremental.shortlist.size(), scratch.total_pairs,
+        scratch.pruned_pairs, scratch.shortlist.size()));
   }
   for (size_t i = 0; i < scratch.shortlist.size(); ++i) {
-    const tj::ColumnPairCandidate& x = incremental.shortlist[i];
-    const tj::ColumnPairCandidate& y = scratch.shortlist[i];
-    if (!(x.a == y.a) || !(x.b == y.b) || x.score != y.score ||
-        x.a_is_source != y.a_is_source) {
-      std::fprintf(stderr, "  shortlist diverges at rank %zu\n", i);
-      return false;
+    if (incremental.shortlist[i] != scratch.shortlist[i]) {
+      return tj::Status::Internal(
+          tj::StrPrintf("shortlist diverges at rank %zu", i));
     }
   }
-  return true;
+  return tj::Status::OK();
 }
 
 /// The v2 signature cache must round-trip, and a stale entry (table content
 /// changed since the cache was written) must self-invalidate on reload.
-bool CheckCacheInvalidation(const tj::SynthCorpus& corpus) {
+tj::Status CheckCacheInvalidation(const tj::SynthCorpus& corpus) {
   tj::TableCatalog catalog;
-  if (!BuildSelfTestCatalog(corpus, &catalog)) return false;
+  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &catalog));
   catalog.ComputeSignatures();
   const std::string dump = catalog.SerializeSignatures();
 
   tj::TableCatalog reloaded;
-  if (!BuildSelfTestCatalog(corpus, &reloaded)) return false;
-  const tj::Status loaded = reloaded.LoadSignatures(dump);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "  round-trip load failed: %s\n",
-                 loaded.ToString().c_str());
-    return false;
-  }
+  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &reloaded));
+  TJ_RETURN_IF_ERROR(reloaded.LoadSignatures(dump));
   for (const tj::ColumnRef ref : reloaded.AllColumns()) {
     if (!reloaded.HasSignature(ref)) {
-      std::fprintf(stderr, "  round-trip left a column unsigned\n");
-      return false;
+      return tj::Status::Internal("round-trip left a column unsigned");
     }
   }
 
   // Mutate one table: its cache block must be skipped on reload.
   tj::TableCatalog stale;
-  if (!BuildSelfTestCatalog(corpus, &stale)) return false;
+  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &stale));
   tj::Table mutated = corpus.tables[0];
   mutated.mutable_column(0).Set(0, "mutated-cell-value");
-  if (!stale.UpdateTable(std::move(mutated)).ok()) {
-    std::fprintf(stderr, "  UpdateTable failed\n");
-    return false;
-  }
-  const tj::Status stale_load = stale.LoadSignatures(dump);
-  if (!stale_load.ok()) {
-    std::fprintf(stderr, "  stale load should skip, not fail: %s\n",
-                 stale_load.ToString().c_str());
-    return false;
-  }
-  auto mutated_id = stale.TableIndex(corpus.tables[0].name());
-  if (!mutated_id.ok()) return false;
-  if (stale.HasSignature(tj::ColumnRef{*mutated_id, 0})) {
-    std::fprintf(stderr,
-                 "  stale sketch was served for a mutated table\n");
-    return false;
+  TJ_ASSIGN_OR_RETURN(const uint32_t mutated_id,
+                      stale.UpdateTable(std::move(mutated)));
+  // A stale block is skipped, not fatal.
+  TJ_RETURN_IF_ERROR(stale.LoadSignatures(dump));
+  if (stale.HasSignature(tj::ColumnRef{mutated_id, 0})) {
+    return tj::Status::Internal("stale sketch was served for a mutated table");
   }
 
   // Malformed input fails closed.
   if (stale.LoadSignatures("# tj-signatures v2\ngarbage\n").ok()) {
-    std::fprintf(stderr, "  malformed dump was accepted\n");
-    return false;
+    return tj::Status::Internal("malformed dump was accepted");
   }
-  return true;
+  return tj::Status::OK();
 }
 
 int SelfTest() {
-  const tj::SynthCorpus corpus = SelfTestCorpus();
+  tj::SynthCorpusOptions corpus_options;
+  corpus_options.num_joinable_pairs = 4;
+  corpus_options.num_noise_tables = 2;
+  corpus_options.rows = 30;
+  corpus_options.seed = 5;
+  const tj::SynthCorpus corpus = tj::GenerateSynthCorpus(corpus_options);
   tj::TableCatalog catalog;
-  if (!BuildSelfTestCatalog(corpus, &catalog)) {
-    std::fprintf(stderr, "selftest: cannot build catalog\n");
+  const tj::Status built = BuildSelfTestCatalog(corpus, &catalog);
+  if (!built.ok()) {
+    std::fprintf(stderr, "selftest: cannot build catalog: %s\n",
+                 built.ToString().c_str());
     return 1;
   }
   tj::CorpusDiscoveryOptions options;
@@ -347,21 +246,20 @@ int SelfTest() {
       tj::DiscoverJoinableColumns(&catalog, options);
   std::printf("%s", result.Describe(catalog).c_str());
 
-  struct Check {
-    const char* name;
-    bool passed;
-  };
-  const Check checks[] = {
+  const std::pair<const char*, tj::Status> checks[] = {
       {"pruning-ratio", CheckPruningRatio(result)},
       {"golden-joins", CheckGoldenJoins(corpus, result)},
       {"incremental-equivalence", CheckIncrementalEquivalence(corpus)},
       {"cache-invalidation", CheckCacheInvalidation(corpus)},
   };
   int failed = 0;
-  for (const Check& check : checks) {
-    std::printf("selftest check %-26s %s\n", check.name,
-                check.passed ? "OK" : "FAIL");
-    if (!check.passed) ++failed;
+  for (const auto& [name, status] : checks) {
+    std::printf("selftest check %-26s %s\n", name,
+                status.ok() ? "OK" : "FAIL");
+    if (!status.ok()) {
+      std::fprintf(stderr, "  %s\n", status.ToString().c_str());
+      ++failed;
+    }
   }
   if (failed != 0) {
     std::fprintf(stderr, "selftest: %d check(s) failed\n", failed);
@@ -377,39 +275,189 @@ struct MaintenanceOp {
   std::string arg;  // CSV path for add/update, table name for remove
 };
 
+/// Applies one maintenance op to the catalog and the live pruner, which
+/// rescores only the touched table's pairs, and prints that cost.
+tj::Status ApplyOp(const MaintenanceOp& op, const tj::StorageOptions& storage,
+                   tj::TableCatalog* catalog,
+                   tj::IncrementalPairPruner* pruner, tj::ThreadPool* pool) {
+  using namespace tj;
+  if (op.kind == MaintenanceOp::kRemove) {
+    TJ_ASSIGN_OR_RETURN(const uint32_t id, catalog->TableIndex(op.arg));
+    TJ_RETURN_IF_ERROR(catalog->RemoveTable(op.arg));
+    pruner->OnTableRemoved(id);
+    std::printf("removed %s (no rescoring)\n", op.arg.c_str());
+    return Status::OK();
+  }
+  TJ_ASSIGN_OR_RETURN(Table table, ReadCsvFile(op.arg, CsvOptions(), storage));
+  table.set_name(std::filesystem::path(op.arg).stem().string());
+  const bool add = op.kind == MaintenanceOp::kAdd;
+  TJ_ASSIGN_OR_RETURN(const uint32_t id,
+                      add ? catalog->AddTable(std::move(table))
+                          : catalog->UpdateTable(std::move(table)));
+  catalog->ComputeSignatures(pool);
+  if (add) {
+    pruner->OnTableAdded(*catalog, id, pool);
+  } else {
+    pruner->OnTableUpdated(*catalog, id, pool);
+  }
+  std::printf(add ? "added %s: scored %zu column pairs\n"
+                  : "updated %s: rescored %zu column pairs\n",
+              op.arg.c_str(), pruner->last_scored_pairs());
+  return Status::OK();
+}
+
+// The tool's modes, as bits of Flag::modes. Batch discovery is the default;
+// a mode flag switches to one of the others.
+enum Mode : unsigned {
+  kBatch = 1, kServe = 2, kGen = 4, kClient = 8, kSelfTest = 16
+};
+constexpr unsigned kDiscovery = kBatch | kServe;
+
+const std::vector<std::string_view> kSynopsis = {
+    "<csv-dir> [flags]",
+    "<csv-dir> --serve SOCKET [--watch DIR] [flags]",
+    "--client SOCKET JSON...",
+    "--gen DIR [--tables N] [--rows N] [--seed S]",
+    "--selftest",
+};
+
+struct Args {
+  unsigned mode = kBatch;
+  std::string_view mode_name = "batch";
+  std::string mode_arg;  // the socket of --serve/--client, the dir of --gen
+  tj::CorpusDiscoveryOptions options;
+  tj::StorageOptions storage;
+  // The daemon's options; a batch run uses its index-cache budget too.
+  tj::serve::ServeOptions serve;
+  size_t top = 20;
+  std::string signatures_path;
+  std::string out_path;
+  size_t tables = 10;
+  size_t rows = 40;
+  uint64_t seed = 1;
+  std::vector<MaintenanceOp> ops;
+};
+
+std::vector<tj::flags::Flag> Flags(Args* a) {
+  namespace flags = tj::flags;
+  using flags::Flag;
+  using tj::Status;
+  std::vector<Flag> rows;
+  const auto add = [&rows](unsigned modes, std::vector<Flag> group) {
+    for (Flag& flag : group) {
+      flag.modes = modes;
+      rows.push_back(std::move(flag));
+    }
+  };
+  // A mode flag switches the tool into its mode; two different ones clash.
+  const auto mode = [a](std::string_view name, std::string_view value,
+                        std::string_view help, Mode m) {
+    return Flag{name, value, help, [=](std::string_view v) {
+                  if (a->mode != kBatch && a->mode != m) {
+                    return Status::InvalidArgument(
+                        "only one of --serve, --client, --gen, --selftest");
+                  }
+                  a->mode = m;
+                  a->mode_name = name;
+                  a->mode_arg = std::string(v);
+                  return Status::OK();
+                }};
+  };
+  const auto op = [a](std::string_view name, std::string_view value,
+                      std::string_view help, MaintenanceOp::Kind kind) {
+    return Flag{name, value, help, [=](std::string_view v) {
+                  a->ops.push_back({kind, std::string(v)});
+                  return Status::OK();
+                }};
+  };
+  add(kDiscovery,
+      {flags::Threads(&a->options.num_threads),
+       flags::Number("--min-containment", "F",
+                     "sketch containment pruning floor in [0, 1] (default "
+                     "0.05); 0 = brute force, batch runs without ops only",
+                     &a->options.pruner.min_containment, 0.0, 1.0),
+       flags::Number("--max-candidates", "N",
+                     "keep the N top-ranked candidate pairs (0 = all)",
+                     &a->options.pruner.max_candidates, 0, SIZE_MAX),
+       flags::Support(&a->options.join.min_join_support),
+       flags::Text("--signatures", "FILE",
+                   "load/save the column sketch cache (stale entries "
+                   "self-invalidate)",
+                   &a->signatures_path),
+       flags::SpillDir(&a->storage.spill_dir),
+       flags::MemoryBudget(&a->storage.memory_budget_bytes),
+       flags::Bytes("--index-cache-budget", "BYTES",
+                    "inverted-index cache budget (default 256m, 0 = "
+                    "unlimited); per epoch with --serve",
+                    &a->serve.index_cache_budget_bytes),
+       flags::Number("--lsh-bands", "N",
+                     "LSH probe bands of the live pruner (default 128 x 1 "
+                     "row: lossless; coarser trades recall for speed)",
+                     &a->options.pruner.lsh.bands, 1, SIZE_MAX),
+       flags::Number("--lsh-rows", "N", "rows per LSH band",
+                     &a->options.pruner.lsh.rows_per_band, 1, SIZE_MAX),
+       flags::Failpoints()});
+  add(kBatch,
+      {flags::Number("--top", "K", "print the top K results (default 20)",
+                     &a->top, 0, SIZE_MAX),
+       flags::Out(&a->out_path),
+       op("--add", "FILE",
+          "add a table and rescore only its LSH-colliding pairs "
+          "(repeatable; ops run in order)",
+          MaintenanceOp::kAdd),
+       op("--remove", "NAME", "remove a table", MaintenanceOp::kRemove),
+       op("--update", "FILE", "replace the table named by FILE's stem",
+          MaintenanceOp::kUpdate)});
+  add(kServe,
+      {mode("--serve", "SOCKET",
+            "run as tjd, answering JSON requests on the unix socket (see "
+            "README)",
+            kServe),
+       flags::Text("--watch", "DIR",
+                   "mirror DIR's *.csv files into the served catalog",
+                   &a->serve.watch_dir)});
+  add(kClient, {mode("--client", "SOCKET",
+                     "send each JSON argument to a running tjd; print each "
+                     "response",
+                     kClient)});
+  add(kGen,
+      {mode("--gen", "DIR", "write a synthetic demo corpus to DIR", kGen),
+       flags::Number("--tables", "N", "tables to generate (default 10)",
+                     &a->tables, 2, SIZE_MAX),
+       flags::Number("--rows", "N", "rows per table (default 40)", &a->rows,
+                     1, SIZE_MAX),
+       flags::Number("--seed", "S", "generator seed (default 1)", &a->seed, 0,
+                     UINT64_MAX)});
+  add(kSelfTest, {mode("--selftest", "",
+                       "run the named end-to-end checks; exit with the "
+                       "number of failures",
+                       kSelfTest)});
+  rows.push_back(flags::Simd());  // every mode
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 // --client: one-shot request sender for a running daemon.
 // ---------------------------------------------------------------------------
 
-int RunClient(int argc, char** argv) {
-  if (argc < 4) {
-    std::fprintf(stderr, "usage: %s --client SOCKET JSON...\n", argv[0]);
-    return 2;
-  }
+tj::Status RunClient(const std::string& socket,
+                     const std::vector<std::string>& requests) {
   tj::serve::ServeClient client;
-  const tj::Status connected = client.Connect(argv[2]);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "error: %s\n", connected.ToString().c_str());
-    return 1;
-  }
+  TJ_RETURN_IF_ERROR(client.Connect(socket));
   int failed = 0;
-  for (int i = 3; i < argc; ++i) {
-    const auto response = client.CallRaw(argv[i]);
-    if (!response.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   response.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", response->c_str());
+  for (const std::string& request : requests) {
+    TJ_ASSIGN_OR_RETURN(const std::string response, client.CallRaw(request));
+    std::printf("%s\n", response.c_str());
     // Reflect protocol-level failures in the exit code so shell scripts
     // can branch on them without parsing JSON.
-    const auto parsed = tj::serve::JsonValue::Parse(*response);
+    const auto parsed = tj::serve::JsonValue::Parse(response);
     if (parsed.ok()) {
       const tj::serve::JsonValue* ok = parsed->Find("ok");
       if (ok != nullptr && ok->is_bool() && !ok->AsBool()) ++failed;
     }
   }
-  return failed == 0 ? 0 : 1;
+  if (failed == 0) return tj::Status::OK();
+  return tj::Status::Internal(tj::StrPrintf("%d request(s) failed", failed));
 }
 
 // ---------------------------------------------------------------------------
@@ -420,18 +468,14 @@ volatile std::sig_atomic_t g_signal_stop = 0;
 
 void OnStopSignal(int) { g_signal_stop = 1; }
 
-int RunDaemon(tj::TableCatalog* catalog, tj::serve::ServeOptions options,
-              int num_threads) {
+tj::Status RunDaemon(tj::TableCatalog* catalog,
+                     tj::serve::ServeOptions options, int num_threads) {
   // One pool for the daemon's whole life: signatures, shortlist
   // maintenance, and every served query's per-pair fan-out (all serialized
   // by the server's compute gate).
   tj::ThreadPool pool(num_threads);
   tj::serve::CorpusServer server(catalog, &pool, std::move(options));
-  const tj::Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-    return 1;
-  }
+  TJ_RETURN_IF_ERROR(server.Start());
   std::signal(SIGINT, OnStopSignal);
   std::signal(SIGTERM, OnStopSignal);
   const auto snapshot = server.current_snapshot();
@@ -449,203 +493,23 @@ int RunDaemon(tj::TableCatalog* catalog, tj::serve::ServeOptions options,
               static_cast<unsigned long long>(server.queries_served()),
               static_cast<unsigned long long>(server.mutations_applied()));
   server.Shutdown();
-  return 0;
+  return tj::Status::OK();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Batch discovery (with any maintenance ops) or the daemon over `dir`.
+tj::Status Discover(Args* args, const std::string& dir) {
   using namespace tj;
-
-  // --simd applies in every mode (discovery, serve, gen, selftest), so it
-  // is stripped from argv before the per-mode parsers run.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--simd") != 0) continue;
-    simd::SimdLevel level;
-    if (i + 1 >= argc || !simd::ParseSimdLevel(argv[i + 1], &level)) {
-      std::fprintf(stderr, "--simd wants scalar|avx2|auto\n");
-      return 2;
-    }
-    const simd::SimdLevel installed = simd::SetActiveLevel(level);
-    if (installed != level) {
-      std::fprintf(stderr, "note: --simd %s unsupported here; using %s\n",
-                   argv[i + 1], simd::SimdLevelName(installed));
-    }
-    for (int j = i + 2; j < argc; ++j) argv[j - 2] = argv[j];
-    argc -= 2;
-    --i;
-  }
-
-  if (argc < 2) return Usage(argv[0]);
-
-  if (std::strcmp(argv[1], "--selftest") == 0) return SelfTest();
-  if (std::strcmp(argv[1], "--client") == 0) return RunClient(argc, argv);
-
-  if (std::strcmp(argv[1], "--gen") == 0) {
-    if (argc < 3) return Usage(argv[0]);
-    const std::string dir = argv[2];
-    size_t tables = 10;
-    size_t rows = 40;
-    uint64_t seed = 1;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--tables") == 0 && i + 1 < argc) {
-        tables = static_cast<size_t>(std::atol(argv[++i]));
-      } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
-        rows = static_cast<size_t>(std::atol(argv[++i]));
-      } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-      } else {
-        return Usage(argv[0]);
-      }
-    }
-    if (tables < 2 || rows == 0) return Usage(argv[0]);
-    return GenerateDemoCorpus(dir, tables, rows, seed);
-  }
-
-  const std::string dir = argv[1];
-  CorpusDiscoveryOptions options;
-  options.num_threads = 0;  // all cores
-  size_t top = 20;
-  std::string signatures_path;
-  std::string out_path;
-  std::string serve_socket;
-  std::string watch_dir;
-  StorageOptions storage;
-  size_t index_cache_budget = serve::kDefaultIndexCacheBudgetBytes;
-  std::vector<MaintenanceOp> ops;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.num_threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
-      serve_socket = argv[++i];
-    } else if (std::strcmp(argv[i], "--watch") == 0 && i + 1 < argc) {
-      watch_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
-      storage.spill_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--memory-budget") == 0 &&
-               i + 1 < argc) {
-      if (!ParseByteSize(argv[++i], &storage.memory_budget_bytes)) {
-        std::fprintf(stderr, "invalid --memory-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--index-cache-budget") == 0 &&
-               i + 1 < argc) {
-      if (!ParseByteSize(argv[++i], &index_cache_budget)) {
-        std::fprintf(stderr, "invalid --index-cache-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--min-containment") == 0 &&
-               i + 1 < argc) {
-      options.pruner.min_containment = std::atof(argv[++i]);
-      if (options.pruner.min_containment <= 0.0) {
-        options.pruner.require_charset_overlap = false;  // true brute force
-      }
-    } else if (std::strcmp(argv[i], "--max-candidates") == 0 &&
-               i + 1 < argc) {
-      options.pruner.max_candidates =
-          static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--lsh-bands") == 0 && i + 1 < argc) {
-      options.pruner.lsh.bands = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--lsh-rows") == 0 && i + 1 < argc) {
-      options.pruner.lsh.rows_per_band =
-          static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
-      options.join.min_join_support = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--signatures") == 0 && i + 1 < argc) {
-      signatures_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--add") == 0 && i + 1 < argc) {
-      ops.push_back({MaintenanceOp::kAdd, argv[++i]});
-    } else if (std::strcmp(argv[i], "--remove") == 0 && i + 1 < argc) {
-      ops.push_back({MaintenanceOp::kRemove, argv[++i]});
-    } else if (std::strcmp(argv[i], "--update") == 0 && i + 1 < argc) {
-      ops.push_back({MaintenanceOp::kUpdate, argv[++i]});
-    } else if (std::strcmp(argv[i], "--failpoints") == 0 && i + 1 < argc) {
-      if (!failpoint::CompiledIn()) {
-        std::fprintf(stderr,
-                     "--failpoints requires a -DTJ_FAILPOINTS=ON build\n");
-        return 2;
-      }
-      const Status armed = failpoint::ConfigureFromSpec(argv[++i]);
-      if (!armed.ok()) {
-        std::fprintf(stderr, "invalid --failpoints spec: %s\n",
-                     armed.ToString().c_str());
-        return 2;
-      }
-    } else {
-      return Usage(argv[0]);
-    }
-  }
-
-  // Reject malformed configuration up front with a message instead of a
-  // downstream TJ_CHECK abort: the same ValidateOptions surface the daemon
-  // uses to turn bad client requests into error responses.
-  {
-    const Status valid_discovery = ValidateOptions(options);
-    if (!valid_discovery.ok()) {
-      std::fprintf(stderr, "invalid options: %s\n",
-                   valid_discovery.ToString().c_str());
-      return 2;
-    }
-    const Status valid_storage = ValidateOptions(storage);
-    if (!valid_storage.ok()) {
-      std::fprintf(stderr, "invalid options: %s\n",
-                   valid_storage.ToString().c_str());
-      return 2;
-    }
-  }
-  // Maintenance ops and the daemon run the live pruner, whose LSH probe
-  // cannot see the zero-score pairs a zero floor keeps.
-  const bool live_pruner = !ops.empty() || !serve_socket.empty();
-  if (live_pruner && !(options.pruner.min_containment > 0.0)) {
-    std::fprintf(stderr,
-                 "--add/--remove/--update and --serve need a positive "
-                 "--min-containment (0 = brute force is batch-only)\n");
-    return 2;
-  }
-  if (live_pruner &&
-      !LshIndex::GuaranteesRecall(options.pruner.lsh,
-                                  SignatureOptions().num_hashes,
-                                  options.pruner.min_containment)) {
-    std::fprintf(stderr,
-                 "note: LSH banding %zux%zu is approximate; low-overlap "
-                 "pairs may be missed (128x1 is lossless)\n",
-                 options.pruner.lsh.bands, options.pruner.lsh.rows_per_band);
-  }
-  if (!watch_dir.empty() && serve_socket.empty()) {
-    std::fprintf(stderr, "--watch requires --serve\n");
-    return Usage(argv[0]);
-  }
-  if (!serve_socket.empty() && !ops.empty()) {
-    std::fprintf(stderr,
-                 "--add/--remove/--update are client requests in serve "
-                 "mode; use --client\n");
-    return Usage(argv[0]);
-  }
+  CorpusDiscoveryOptions& options = args->options;
+  const StorageOptions& storage = args->storage;
   if (storage.spill_enabled()) {
-    const Status spill_ready = EnsureSpillDir(storage.spill_dir);
-    if (!spill_ready.ok()) {
-      std::fprintf(stderr, "error: %s\n", spill_ready.ToString().c_str());
-      return 1;
-    }
+    TJ_RETURN_IF_ERROR(EnsureSpillDir(storage.spill_dir));
   }
-
   TableCatalog catalog(SignatureOptions(), storage);
-  const auto loaded_dir = catalog.AddCsvDirectory(dir);
-  if (!loaded_dir.ok()) {
-    std::fprintf(stderr, "error loading %s: %s\n", dir.c_str(),
-                 loaded_dir.status().ToString().c_str());
-    return 1;
-  }
-  if (loaded_dir->skipped > 0) {
+  TJ_ASSIGN_OR_RETURN(const auto loaded, catalog.AddCsvDirectory(dir));
+  if (loaded.skipped > 0) {
     std::fprintf(stderr,
                  "warning: skipped %zu unreadable file(s) under %s\n",
-                 loaded_dir->skipped, dir.c_str());
+                 loaded.skipped, dir.c_str());
   }
   // The 2-table floor is checked after the --add/--remove/--update ops run:
   // an --add may bootstrap a 1-table directory into a valid catalog.
@@ -657,39 +521,36 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  if (!signatures_path.empty() &&
-      std::filesystem::exists(signatures_path)) {
-    const Status loaded = catalog.LoadSignaturesFromFile(signatures_path);
+  if (!args->signatures_path.empty() &&
+      std::filesystem::exists(args->signatures_path)) {
+    const Status loaded =
+        catalog.LoadSignaturesFromFile(args->signatures_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "ignoring signature cache %s: %s\n",
-                   signatures_path.c_str(), loaded.ToString().c_str());
+                   args->signatures_path.c_str(), loaded.ToString().c_str());
     } else {
       std::printf("loaded signature cache from %s\n",
-                  signatures_path.c_str());
+                  args->signatures_path.c_str());
     }
   }
 
-  if (!serve_socket.empty()) {
-    serve::ServeOptions serve_options;
-    serve_options.socket_path = serve_socket;
-    serve_options.watch_dir = watch_dir;
-    serve_options.discovery = options;
-    serve_options.index_cache_budget_bytes = index_cache_budget;
-    return RunDaemon(&catalog, std::move(serve_options),
-                     options.num_threads);
+  if (args->mode == kServe) {
+    args->serve.socket_path = args->mode_arg;
+    args->serve.discovery = options;
+    return RunDaemon(&catalog, std::move(args->serve), options.num_threads);
   }
 
   // One cache spans the whole invocation: the batch run's pre-warm, or —
   // in the incremental flow — every post-maintenance shortlist evaluation.
-  IndexCache index_cache(index_cache_budget);
+  IndexCache index_cache(args->serve.index_cache_budget_bytes);
   options.index_cache = &index_cache;
 
   CorpusDiscoveryResult result;
-  if (ops.empty()) {
+  if (args->ops.empty()) {
     if (catalog.num_tables() < 2) {
-      std::fprintf(stderr, "%s holds %zu table(s); need at least 2\n",
-                   dir.c_str(), catalog.num_tables());
-      return 1;
+      return Status::InvalidArgument(StrPrintf(
+          "%s holds %zu table(s); need at least 2", dir.c_str(),
+          catalog.num_tables()));
     }
     result = DiscoverJoinableColumns(&catalog, options);
   } else {
@@ -699,63 +560,21 @@ int main(int argc, char** argv) {
     catalog.ComputeSignatures(&pool);
     IncrementalPairPruner pruner(options.pruner);
     pruner.Rebuild(catalog, &pool);
-    for (const MaintenanceOp& op : ops) {
-      if (op.kind == MaintenanceOp::kRemove) {
-        auto id = catalog.TableIndex(op.arg);
-        if (!id.ok() || !catalog.RemoveTable(op.arg).ok()) {
-          std::fprintf(stderr, "--remove %s: no such table\n",
-                       op.arg.c_str());
-          return 1;
-        }
-        pruner.OnTableRemoved(*id);
-        std::printf("removed %s (no rescoring)\n", op.arg.c_str());
-        continue;
-      }
-      auto table = ReadCsvFile(op.arg, CsvOptions(), storage);
-      if (!table.ok()) {
-        std::fprintf(stderr, "%s: %s\n", op.arg.c_str(),
-                     table.status().ToString().c_str());
-        return 1;
-      }
-      table->set_name(std::filesystem::path(op.arg).stem().string());
-      if (op.kind == MaintenanceOp::kAdd) {
-        auto id = catalog.AddTable(*std::move(table));
-        if (!id.ok()) {
-          std::fprintf(stderr, "--add %s: %s\n", op.arg.c_str(),
-                       id.status().ToString().c_str());
-          return 1;
-        }
-        catalog.ComputeSignatures(&pool);
-        pruner.OnTableAdded(catalog, *id, &pool);
-        std::printf("added %s: scored %zu column pairs\n", op.arg.c_str(),
-                    pruner.last_scored_pairs());
-      } else {
-        auto id = catalog.UpdateTable(*std::move(table));
-        if (!id.ok()) {
-          std::fprintf(stderr, "--update %s: %s\n", op.arg.c_str(),
-                       id.status().ToString().c_str());
-          return 1;
-        }
-        catalog.ComputeSignatures(&pool);
-        pruner.OnTableUpdated(catalog, *id, &pool);
-        std::printf("updated %s: rescored %zu column pairs\n",
-                    op.arg.c_str(), pruner.last_scored_pairs());
-      }
+    for (const MaintenanceOp& op : args->ops) {
+      TJ_RETURN_IF_ERROR(ApplyOp(op, storage, &catalog, &pruner, &pool));
     }
     if (catalog.num_tables() < 2) {
-      std::fprintf(stderr,
-                   "catalog holds %zu table(s) after maintenance ops; need "
-                   "at least 2\n",
-                   catalog.num_tables());
-      return 1;
+      return Status::InvalidArgument(StrPrintf(
+          "catalog holds %zu table(s) after maintenance ops; need at least 2",
+          catalog.num_tables()));
     }
     // Reuse the maintenance pool so the whole incremental run — sketches,
     // rescoring, and the pair-level fan-out — stays on exactly one pool.
     result = EvaluateShortlist(catalog, pruner.Snapshot(), options, &pool);
   }
 
-  if (!signatures_path.empty()) {
-    const Status saved = catalog.SaveSignaturesToFile(signatures_path);
+  if (!args->signatures_path.empty()) {
+    const Status saved = catalog.SaveSignaturesToFile(args->signatures_path);
     if (!saved.ok()) {
       std::fprintf(stderr, "error saving signature cache: %s\n",
                    saved.ToString().c_str());
@@ -772,33 +591,32 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache_stats.misses),
               static_cast<unsigned long long>(cache_stats.evictions),
               static_cast<unsigned long long>(cache_stats.bytes));
+  // Metadata-only names: printing must not re-map evicted tables.
+  const auto spec = [&catalog](ColumnRef ref) {
+    return catalog.table_name(ref.table) + "." + catalog.column_name(ref);
+  };
   TablePrinter printer({"rank", "source", "target", "score", "pairs",
                         "joined", "coverage", "best transformation"});
-  const size_t n = std::min(top, result.results.size());
+  const size_t n = std::min(args->top, result.results.size());
   for (size_t i = 0; i < n; ++i) {
     const CorpusPairResult& r = result.results[i];
     printer.AddRow(
         {StrPrintf("%zu", i + 1),
-         catalog.table(r.source.table).name() + "." +
-             catalog.column(r.source).name(),
-         catalog.table(r.target.table).name() + "." +
-             catalog.column(r.target).name(),
+         spec(r.source), spec(r.target),
          FormatDouble(r.candidate.score, 3), StrPrintf("%zu", r.learning_pairs),
          StrPrintf("%zu", r.joined_rows), FormatDouble(r.top_coverage, 2),
          r.transformations.empty() ? "-" : r.transformations.front()});
   }
   printer.Print();
 
-  if (!out_path.empty()) {
+  if (!args->out_path.empty()) {
     Table out("corpus_results");
     Column source("source"), target("target"), score("score"),
         pairs("learning_pairs"), joined("joined_rows"), cov("top_coverage"),
         rules("transformations");
     for (const CorpusPairResult& r : result.results) {
-      source.Append(catalog.table(r.source.table).name() + "." +
-                    catalog.column(r.source).name());
-      target.Append(catalog.table(r.target.table).name() + "." +
-                    catalog.column(r.target).name());
+      source.Append(spec(r.source));
+      target.Append(spec(r.target));
       score.Append(StrPrintf("%.6f", r.candidate.score));
       pairs.Append(StrPrintf("%zu", r.learning_pairs));
       joined.Append(StrPrintf("%zu", r.joined_rows));
@@ -807,18 +625,66 @@ int main(int argc, char** argv) {
     }
     for (Column* c : {&source, &target, &score, &pairs, &joined, &cov,
                       &rules}) {
-      if (!out.AddColumn(std::move(*c)).ok()) {
-        std::fprintf(stderr, "internal error assembling output\n");
-        return 1;
-      }
+      TJ_RETURN_IF_ERROR(out.AddColumn(std::move(*c)));
     }
-    const Status written = WriteCsvFile(out, out_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", out_path.c_str(),
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("results written to %s\n", out_path.c_str());
+    TJ_RETURN_IF_ERROR(WriteCsvFile(out, args->out_path));
+    std::printf("results written to %s\n", args->out_path.c_str());
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace tj;
+  Args args;
+  args.options.num_threads = 0;  // all cores
+  flags::FlagTable table(Flags(&args));
+  std::vector<std::string> positional;
+  Status parsed = table.Parse(argc, argv, &positional);
+  if (parsed.ok()) parsed = table.CheckMode(args.mode, args.mode_name);
+  // Batch and serve runs name one corpus directory; a client sends at
+  // least one request; --gen and --selftest take no arguments.
+  const bool arguments_fit =
+      (args.mode & kDiscovery) != 0 ? positional.size() == 1
+      : args.mode == kClient        ? !positional.empty()
+                                    : positional.empty();
+  if (parsed.ok() && !arguments_fit) parsed = flags::Accept(false);
+  // Reject malformed configuration up front with a message instead of a
+  // downstream TJ_CHECK abort: the same ValidateOptions surface the daemon
+  // uses to turn bad client requests into error responses.
+  if (parsed.ok()) parsed = ValidateOptions(args.options);
+  if (parsed.ok()) parsed = ValidateOptions(args.storage);
+  // Maintenance ops and the daemon run the live pruner, whose LSH probe
+  // cannot see the zero-score pairs a zero floor keeps.
+  PairPrunerOptions& pruner = args.options.pruner;
+  const bool positive_floor = pruner.min_containment > 0.0;
+  const bool live_pruner = !args.ops.empty() || args.mode == kServe;
+  if (parsed.ok() && live_pruner && !positive_floor) {
+    parsed = Status::InvalidArgument(
+        "--add/--remove/--update and --serve need a positive "
+        "--min-containment (0 = brute force is batch-only)");
+  }
+  if (!parsed.ok()) return table.UsageError(argv[0], kSynopsis, parsed);
+  if (!positive_floor) pruner.require_charset_overlap = false;  // brute force
+  if (live_pruner && !LshIndex::GuaranteesRecall(pruner.lsh,
+                                                 SignatureOptions().num_hashes,
+                                                 pruner.min_containment)) {
+    std::fprintf(stderr,
+                 "note: LSH banding %zux%zu is approximate; low-overlap "
+                 "pairs may be missed (128x1 is lossless)\n",
+                 pruner.lsh.bands, pruner.lsh.rows_per_band);
+  }
+
+  if (args.mode == kSelfTest) return SelfTest();
+  const Status ran =
+      args.mode == kClient ? RunClient(args.mode_arg, positional)
+      : args.mode == kGen
+          ? GenerateDemoCorpus(args.mode_arg, args.tables, args.rows, args.seed)
+          : Discover(&args, positional[0]);
+  if (!ran.ok()) {
+    std::fprintf(stderr, "error: %s\n", ran.ToString().c_str());
+    return 1;
   }
   return 0;
 }

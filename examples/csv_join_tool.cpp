@@ -2,8 +2,7 @@
 // CSV files whose join columns are formatted differently.
 //
 //   csv_join_tool <left.csv> <left-column> <right.csv> <right-column>
-//                 [--support F] [--sample N] [--threads N] [--rules out.tj]
-//                 [--out out.csv] [--golden pairs.csv]
+//                 [flags]   (run without arguments for the flag list)
 //
 // The tool matches candidate rows with the n-gram matcher, discovers
 // transformations, applies those above the support threshold, equi-joins,
@@ -13,197 +12,122 @@
 // transfer workflow). With --golden (a two-column CSV of 0-based
 // left-row,right-row index pairs), the join is scored with P/R/F1.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
-#include "common/failpoint.h"
-#include "common/simd.h"
+#include "common/flags.h"
 #include "common/strings.h"
 #include "core/serialization.h"
-#include "corpus/catalog.h"
 #include "corpus/lsh_index.h"
 #include "corpus/signature.h"
-#include "index/index_cache.h"
 #include "join/join_engine.h"
 #include "table/csv.h"
 #include "table/spill_arena.h"
 
 namespace {
 
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <left.csv> <left-column> <right.csv> "
-               "<right-column>\n"
-               "          [--support F] [--sample N] [--threads N] "
-               "[--rules out.tj] [--out out.csv] [--golden pairs.csv]\n"
-               "          [--spill-dir DIR] [--memory-budget BYTES]\n"
-               "          [--index-cache-budget BYTES]\n"
-               "          [--precheck] [--simd scalar|avx2|auto]\n"
-               "          [--failpoints SPEC]\n"
-               "       --simd: pin the kernel dispatch level ('auto' = best "
-               "the CPU supports; kernels are bit-identical across levels, "
-               "so this only changes speed)\n"
-               "       --precheck: sketch both join columns and report the "
-               "estimated n-gram containment plus whether their banded "
-               "MinHash sketches collide (what the corpus LSH probe would "
-               "see), then exit — 0 when they collide, 3 when they do not\n"
-               "       --threads N: worker threads for matching and "
-               "discovery (0 = all cores, default)\n"
-               "       --spill-dir DIR: stream both tables into mmap-backed "
-               "arenas under DIR (inputs larger than RAM)\n"
-               "       --memory-budget BYTES: with --spill-dir, release "
-               "resident pages after ingest so matching faults cells "
-               "in on demand (k/m/g suffixes ok)\n"
-               "       --index-cache-budget BYTES: byte budget for the "
-               "fingerprint-keyed inverted-index cache (0 = unlimited; "
-               "one-shot joins build each index once either way — the flag "
-               "mirrors corpus_discovery_tool for scripted reuse)\n"
-               "       --failpoints SPEC: arm fault-injection sites, e.g. "
-               "'mmap/sync=p:0.5,errno:EIO' "
-               "(requires a -DTJ_FAILPOINTS=ON build)\n",
-               argv0);
-  return 2;
-}
+const std::vector<std::string_view> kSynopsis = {
+    "<left.csv> <left-column> <right.csv> <right-column> [flags]"};
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace tj;
-  if (argc < 5) return Usage(argv[0]);
-
-  const std::string left_path = argv[1];
-  const std::string left_column = argv[2];
-  const std::string right_path = argv[3];
-  const std::string right_column = argv[4];
-  double support = 0.05;
-  size_t sample = 0;
+struct Args {
+  tj::JoinOptions join;
+  tj::StorageOptions storage;
   int threads = 0;  // 0 = hardware concurrency
   std::string rules_path;
   std::string out_path;
   std::string golden_path;
   bool precheck = false;
-  StorageOptions storage;
-  size_t index_cache_budget = 0;
-  bool index_cache_requested = false;
-  for (int i = 5; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
-      support = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--precheck") == 0) {
-      precheck = true;
-    } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
-      storage.spill_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--memory-budget") == 0 &&
-               i + 1 < argc) {
-      if (!ParseByteSize(argv[++i], &storage.memory_budget_bytes)) {
-        std::fprintf(stderr, "invalid --memory-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--index-cache-budget") == 0 &&
-               i + 1 < argc) {
-      if (!ParseByteSize(argv[++i], &index_cache_budget)) {
-        std::fprintf(stderr, "invalid --index-cache-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
-      }
-      index_cache_requested = true;
-    } else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc) {
-      simd::SimdLevel level;
-      if (!simd::ParseSimdLevel(argv[++i], &level)) {
-        std::fprintf(stderr, "--simd wants scalar|avx2|auto\n");
-        return Usage(argv[0]);
-      }
-      const simd::SimdLevel installed = simd::SetActiveLevel(level);
-      if (installed != level) {
-        std::fprintf(stderr, "note: --simd %s unsupported here; using %s\n",
-                     argv[i], simd::SimdLevelName(installed));
-      }
-    } else if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-      sample = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const long parsed = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || parsed < 0 || parsed > 1024) {
-        std::fprintf(stderr, "invalid --threads value '%s'\n", argv[i]);
-        return Usage(argv[0]);
-      }
-      threads = static_cast<int>(parsed);
-    } else if (std::strcmp(argv[i], "--rules") == 0 && i + 1 < argc) {
-      rules_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--golden") == 0 && i + 1 < argc) {
-      golden_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--failpoints") == 0 && i + 1 < argc) {
-      if (!failpoint::CompiledIn()) {
-        std::fprintf(stderr,
-                     "--failpoints requires a -DTJ_FAILPOINTS=ON build\n");
-        return 2;
-      }
-      const Status armed = failpoint::ConfigureFromSpec(argv[++i]);
-      if (!armed.ok()) {
-        std::fprintf(stderr, "invalid --failpoints spec: %s\n",
-                     armed.ToString().c_str());
-        return 2;
-      }
-    } else {
-      return Usage(argv[0]);
-    }
-  }
+};
 
-  if (storage.memory_budget_bytes > 0 && !storage.spill_enabled()) {
-    std::fprintf(stderr, "--memory-budget requires --spill-dir\n");
-    return Usage(argv[0]);
+std::vector<tj::flags::Flag> Flags(Args* a) {
+  namespace flags = tj::flags;
+  return {
+      flags::Support(&a->join.min_join_support),
+      flags::Number("--sample", "N",
+                    "learn from at most N sampled candidate pairs (0 = all)",
+                    &a->join.sample_pairs, 0, SIZE_MAX),
+      flags::Threads(&a->threads),
+      flags::Text("--rules", "FILE",
+                  "save the applied transformations to FILE (rule format)",
+                  &a->rules_path),
+      flags::Out(&a->out_path),
+      flags::Text("--golden", "FILE",
+                  "score the join against FILE's 0-based left-row,right-row "
+                  "pairs",
+                  &a->golden_path),
+      flags::SpillDir(&a->storage.spill_dir),
+      flags::MemoryBudget(&a->storage.memory_budget_bytes),
+      flags::Switch("--precheck",
+                    "only report the join columns' sketch containment and "
+                    "LSH collision; exit 0 if they collide, 3 if not",
+                    &a->precheck),
+      flags::Simd(),
+      flags::Failpoints(),
+  };
+}
+
+/// Reads the golden left-row,right-row index pairs, oriented as `pair`.
+tj::Status ReadGolden(const std::string& path, bool left_is_source,
+                      tj::TablePair* pair) {
+  using namespace tj;
+  TJ_ASSIGN_OR_RETURN(const Table golden, ReadCsvFile(path));
+  if (golden.num_columns() < 2) {
+    return Status::InvalidArgument(path + ": golden pairs need two columns");
   }
+  for (size_t r = 0; r < golden.num_rows(); ++r) {
+    uint32_t left_row = 0;
+    uint32_t right_row = 0;
+    if (!flags::ParseNumber(golden.column(0).Get(r), 0, UINT32_MAX,
+                            &left_row) ||
+        !flags::ParseNumber(golden.column(1).Get(r), 0, UINT32_MAX,
+                            &right_row)) {
+      return Status::InvalidArgument(StrPrintf(
+          "%s: golden row %zu is not two row indexes", path.c_str(), r + 1));
+    }
+    pair->golden.Add(left_is_source ? RowPair{left_row, right_row}
+                                    : RowPair{right_row, left_row});
+  }
+  return Status::OK();
+}
+
+/// The whole run after flag parsing; the value is the exit code.
+tj::Result<int> Run(const Args& args, const std::vector<std::string>& names) {
+  using namespace tj;
+  const StorageOptions& storage = args.storage;
   if (storage.spill_enabled()) {
-    const Status spill_ready = EnsureSpillDir(storage.spill_dir);
-    if (!spill_ready.ok()) {
-      std::fprintf(stderr, "error: %s\n", spill_ready.ToString().c_str());
-      return 1;
-    }
+    TJ_RETURN_IF_ERROR(EnsureSpillDir(storage.spill_dir));
   }
-
-  auto left = ReadCsvFile(left_path, CsvOptions(), storage);
-  if (!left.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", left_path.c_str(),
-                 left.status().ToString().c_str());
-    return 1;
-  }
-  auto right = ReadCsvFile(right_path, CsvOptions(), storage);
-  if (!right.ok()) {
-    std::fprintf(stderr, "error reading %s: %s\n", right_path.c_str(),
-                 right.status().ToString().c_str());
-    return 1;
-  }
+  TJ_ASSIGN_OR_RETURN(Table left,
+                      ReadCsvFile(names[0], CsvOptions(), storage));
+  TJ_ASSIGN_OR_RETURN(Table right,
+                      ReadCsvFile(names[2], CsvOptions(), storage));
   if (storage.memory_budget_bytes > 0) {
     // Drop ingest-dirtied pages: the join faults cells back in on demand,
     // so steady-state RSS tracks the matcher's working set, not the files.
-    left->ReleasePages();
-    right->ReleasePages();
+    left.ReleasePages();
+    right.ReleasePages();
   }
-  const auto left_idx = left->ColumnIndex(left_column);
-  const auto right_idx = right->ColumnIndex(right_column);
-  if (!left_idx.ok() || !right_idx.ok()) {
-    std::fprintf(stderr, "join column not found\n");
-    return 1;
-  }
+  TJ_ASSIGN_OR_RETURN(const size_t left_idx, left.ColumnIndex(names[1]));
+  TJ_ASSIGN_OR_RETURN(const size_t right_idx, right.ColumnIndex(names[3]));
 
-  if (precheck) {
+  if (args.precheck) {
     // The corpus pruning view of this pair, without running the join: the
     // same sketches TableCatalog::ComputeSignatures builds and the same
     // banded-collision test the LSH probe path uses to shortlist partners.
     const SignatureOptions sig_options;
     const ColumnSignature sig_left =
-        ComputeColumnSignature(left->column(*left_idx), sig_options);
+        ComputeColumnSignature(left.column(left_idx), sig_options);
     const ColumnSignature sig_right =
-        ComputeColumnSignature(right->column(*right_idx), sig_options);
+        ComputeColumnSignature(right.column(right_idx), sig_options);
     const double containment = EstimateNgramContainment(sig_left, sig_right);
     const bool collide =
         LshIndex::BandsCollide(LshOptions(), sig_left, sig_right);
-    std::printf("precheck %s.%s vs %s.%s\n", left_path.c_str(),
-                left_column.c_str(), right_path.c_str(),
-                right_column.c_str());
+    std::printf("precheck %s.%s vs %s.%s\n", names[0].c_str(),
+                names[1].c_str(), names[2].c_str(), names[3].c_str());
     std::printf("  distinct 4-grams: %zu vs %zu\n",
                 sig_left.distinct_ngrams, sig_right.distinct_ngrams);
     std::printf("  estimated jaccard: %.4f\n",
@@ -221,51 +145,18 @@ int main(int argc, char** argv) {
 
   // The more descriptive column becomes the transformation source (§4.2.1).
   TablePair pair;
-  const bool left_is_source = PickSourceColumn(left->column(*left_idx),
-                                               right->column(*right_idx));
-  pair.source = left_is_source ? *left : *right;
-  pair.target = left_is_source ? *right : *left;
-  pair.source_join_column = left_is_source ? *left_idx : *right_idx;
-  pair.target_join_column = left_is_source ? *right_idx : *left_idx;
+  const bool left_is_source = PickSourceColumn(left.column(left_idx),
+                                               right.column(right_idx));
+  pair.source = std::move(left_is_source ? left : right);
+  pair.target = std::move(left_is_source ? right : left);
+  pair.source_join_column = left_is_source ? left_idx : right_idx;
+  pair.target_join_column = left_is_source ? right_idx : left_idx;
 
-  // Optional golden matching: left-row,right-row index pairs, remapped to
-  // the source/target orientation chosen above.
-  if (!golden_path.empty()) {
-    auto golden = ReadCsvFile(golden_path);
-    if (!golden.ok() || golden->num_columns() < 2) {
-      std::fprintf(stderr, "error reading golden pairs from %s\n",
-                   golden_path.c_str());
-      return 1;
-    }
-    for (size_t r = 0; r < golden->num_rows(); ++r) {
-      const auto left_row = static_cast<uint32_t>(
-          std::atol(std::string(golden->column(0).Get(r)).c_str()));
-      const auto right_row = static_cast<uint32_t>(
-          std::atol(std::string(golden->column(1).Get(r)).c_str()));
-      pair.golden.Add(left_is_source ? RowPair{left_row, right_row}
-                                     : RowPair{right_row, left_row});
-    }
+  if (!args.golden_path.empty()) {
+    TJ_RETURN_IF_ERROR(ReadGolden(args.golden_path, left_is_source, &pair));
   }
 
-  JoinOptions options;
-  options.matching = MatchingMode::kNgram;
-  options.min_join_support = support;
-  options.sample_pairs = sample;
-  options.discovery.num_threads = threads;
-  options.match_options.num_threads = threads;
-  IndexCache index_cache(index_cache_budget);
-  if (index_cache_requested) {
-    options.match_options.index_cache = &index_cache;
-    options.match_options.source_cache_key.fingerprint =
-        TableFingerprint(pair.source);
-    options.match_options.source_cache_key.column =
-        static_cast<uint32_t>(pair.source_join_column);
-    options.match_options.target_cache_key.fingerprint =
-        TableFingerprint(pair.target);
-    options.match_options.target_cache_key.column =
-        static_cast<uint32_t>(pair.target_join_column);
-  }
-  const JoinResult result = TransformJoin(pair, options);
+  const JoinResult result = TransformJoin(pair, args.join);
 
   std::printf("learning pairs: %zu, discovery: %.2fs\n",
               result.learning_pairs, result.discovery_seconds);
@@ -280,53 +171,58 @@ int main(int argc, char** argv) {
                 FormatPrf(result.metrics).c_str());
   }
 
-  if (!rules_path.empty()) {
+  if (!args.rules_path.empty()) {
     std::vector<TransformationId> ids;
     for (const auto& ranked : result.discovery.cover.selected) {
       ids.push_back(ranked.id);
     }
-    const Status saved = SaveTransformationsToFile(
-        rules_path, result.discovery.store, result.discovery.units, ids);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "error saving rules: %s\n",
-                   saved.ToString().c_str());
-      return 1;
-    }
-    std::printf("rules written to %s\n", rules_path.c_str());
+    TJ_RETURN_IF_ERROR(SaveTransformationsToFile(
+        args.rules_path, result.discovery.store, result.discovery.units, ids));
+    std::printf("rules written to %s\n", args.rules_path.c_str());
   }
 
-  if (!out_path.empty()) {
+  if (!args.out_path.empty()) {
     Table joined("joined");
     // All source columns, then all target columns (prefixed on clash).
-    for (const Column& c : pair.source.columns()) {
-      Column out(c.name());
-      for (const RowPair& p : result.joined) {
-        out.Append(c.Get(p.source));
-      }
-      if (!joined.AddColumn(std::move(out)).ok()) {
-        std::fprintf(stderr, "internal error assembling output\n");
-        return 1;
-      }
-    }
-    for (const Column& c : pair.target.columns()) {
-      std::string name = c.name();
-      if (joined.FindColumn(name) != nullptr) name = "right." + name;
-      Column out(name);
-      for (const RowPair& p : result.joined) {
-        out.Append(c.Get(p.target));
-      }
-      if (!joined.AddColumn(std::move(out)).ok()) {
-        std::fprintf(stderr, "internal error assembling output\n");
-        return 1;
+    for (const bool source_side : {true, false}) {
+      const Table& side = source_side ? pair.source : pair.target;
+      for (const Column& c : side.columns()) {
+        std::string name = c.name();
+        if (!source_side && joined.FindColumn(name) != nullptr) {
+          name = "right." + name;
+        }
+        Column out(name);
+        for (const RowPair& p : result.joined) {
+          out.Append(c.Get(source_side ? p.source : p.target));
+        }
+        TJ_RETURN_IF_ERROR(joined.AddColumn(std::move(out)));
       }
     }
-    const Status written = WriteCsvFile(joined, out_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "error writing %s: %s\n", out_path.c_str(),
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("joined table written to %s\n", out_path.c_str());
+    TJ_RETURN_IF_ERROR(WriteCsvFile(joined, args.out_path));
+    std::printf("joined table written to %s\n", args.out_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace tj;
+  Args args;
+  flags::FlagTable table(Flags(&args));
+  std::vector<std::string> positional;
+  Status parsed = table.Parse(argc, argv, &positional);
+  if (parsed.ok() && positional.size() != 4) parsed = flags::Accept(false);
+  args.join.discovery.num_threads = args.threads;
+  args.join.match_options.num_threads = args.threads;
+  if (parsed.ok()) parsed = ValidateOptions(args.join);
+  if (parsed.ok()) parsed = ValidateOptions(args.storage);
+  if (!parsed.ok()) return table.UsageError(argv[0], kSynopsis, parsed);
+  const Result<int> exit_code = Run(args, positional);
+  if (!exit_code.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 exit_code.status().ToString().c_str());
+    return 1;
+  }
+  return *exit_code;
 }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/hash.h"
 
@@ -351,21 +350,17 @@ SimdLevel SetActiveLevel(SimdLevel level) {
   return ops->level;
 }
 
-bool ParseSimdLevel(const char* text, SimdLevel* out) {
-  if (text == nullptr || out == nullptr) return false;
-  if (std::strcmp(text, "scalar") == 0) {
+bool ParseSimdLevel(std::string_view text, SimdLevel* out) {
+  if (text == "scalar") {
     *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(text, "avx2") == 0) {
+  } else if (text == "avx2") {
     *out = SimdLevel::kAvx2;
-    return true;
-  }
-  if (std::strcmp(text, "auto") == 0) {
+  } else if (text == "auto") {
     *out = BestSupportedLevel();
-    return true;
+  } else {
+    return false;
   }
-  return false;
+  return true;
 }
 
 void MinhashUpdate(uint64_t base, const uint64_t* slot_seeds,

@@ -28,6 +28,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace tj {
 namespace simd {
@@ -149,7 +150,7 @@ uint32_t CharsetMask(const char* s, size_t n);
 /// Parses "scalar"/"avx2"/"auto" (case-sensitive) for the CLI --simd
 /// flags. Returns false on anything else. "auto" yields
 /// BestSupportedLevel().
-bool ParseSimdLevel(const char* text, SimdLevel* out);
+bool ParseSimdLevel(std::string_view text, SimdLevel* out);
 
 }  // namespace simd
 }  // namespace tj

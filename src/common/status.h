@@ -149,4 +149,20 @@ void Result<T>::CheckOk() const {
     if (!_tj_status.ok()) return _tj_status;      \
   } while (false)
 
+/// Evaluates `expr` (a Result<T>) and either returns its error Status from
+/// the current function or moves the value into `lhs`, which may declare a
+/// variable (`TJ_ASSIGN_OR_RETURN(auto rows, ParseU64());`) or name an
+/// existing one. Expands to several statements: brace it when it is the
+/// body of an if/else.
+#define TJ_ASSIGN_OR_RETURN(lhs, expr) \
+  TJ_ASSIGN_OR_RETURN_IMPL(TJ_CONCAT(_tj_result_, __COUNTER__), lhs, expr)
+#define TJ_ASSIGN_OR_RETURN_IMPL(result, lhs, expr) \
+  auto result = (expr);                             \
+  if (!result.ok()) {                               \
+    return result.status();                         \
+  }                                                 \
+  lhs = std::move(result).value()
+#define TJ_CONCAT(a, b) TJ_CONCAT_IMPL(a, b)
+#define TJ_CONCAT_IMPL(a, b) a##b
+
 #endif  // TJ_COMMON_STATUS_H_

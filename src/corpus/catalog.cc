@@ -25,7 +25,14 @@ namespace {
 /// names quoted with the EscapeForDisplay escapes.
 class LineCursor {
  public:
-  explicit LineCursor(std::string_view line) : line_(line) {}
+  /// Errors name the dump's line: "signatures line N: ...".
+  LineCursor(std::string_view line, size_t line_no)
+      : line_(line), line_no_(line_no) {}
+
+  Status Fail(const std::string& message) const {
+    return Status::InvalidArgument(StrPrintf(
+        "signatures line %zu: %s", line_no_, message.c_str()));
+  }
 
   void SkipSpace() {
     while (pos_ < line_.size() &&
@@ -63,6 +70,12 @@ class LineCursor {
     return true;
   }
 
+  /// `key=` followed by an unsigned integer.
+  Result<uint64_t> KeyU64(std::string_view key) {
+    if (!ConsumeKey(key)) return Fail("expected " + std::string(key) + "=");
+    return ParseU64();
+  }
+
   Result<uint64_t> ParseU64() {
     SkipSpace();
     const size_t start = pos_;
@@ -70,7 +83,7 @@ class LineCursor {
       ++pos_;
     }
     if (pos_ == start) {
-      return Status::InvalidArgument("expected unsigned integer");
+      return Fail("expected unsigned integer");
     }
     return static_cast<uint64_t>(
         std::strtoull(std::string(line_.substr(start, pos_ - start)).c_str(),
@@ -84,17 +97,22 @@ class LineCursor {
     char* end = nullptr;
     const double value = std::strtod(rest.c_str(), &end);
     if (end == rest.c_str()) {
-      return Status::InvalidArgument("expected floating-point value");
+      return Fail("expected floating-point value");
     }
     pos_ += static_cast<size_t>(end - rest.c_str());
     return value;
+  }
+
+  Result<double> KeyDouble(std::string_view key) {
+    if (!ConsumeKey(key)) return Fail("expected " + std::string(key) + "=");
+    return ParseDouble();
   }
 
   /// Parses a single-quoted string with the EscapeForDisplay escapes.
   Result<std::string> ParseQuoted() {
     SkipSpace();
     if (pos_ >= line_.size() || line_[pos_] != '\'') {
-      return Status::InvalidArgument("expected opening quote");
+      return Fail("expected opening quote");
     }
     ++pos_;
     std::string out;
@@ -115,7 +133,7 @@ class LineCursor {
         case '\\': out.push_back('\\'); break;
         case 'x': {
           if (pos_ + 2 > line_.size()) {
-            return Status::InvalidArgument("truncated \\x escape");
+            return Fail("truncated \\x escape");
           }
           const auto hex_digit = [](char h) -> int {
             if (h >= '0' && h <= '9') return h - '0';
@@ -127,21 +145,22 @@ class LineCursor {
           const int lo = hex_digit(line_[pos_ + 1]);
           pos_ += 2;
           if (hi < 0 || lo < 0) {
-            return Status::InvalidArgument("invalid \\x escape");
+            return Fail("invalid \\x escape");
           }
           out.push_back(static_cast<char>(hi * 16 + lo));
           break;
         }
         default:
-          return Status::InvalidArgument(std::string("unknown escape: \\") +
+          return Fail(std::string("unknown escape: \\") +
                                          esc);
       }
     }
-    return Status::InvalidArgument("unterminated quoted string");
+    return Fail("unterminated quoted string");
   }
 
  private:
   std::string_view line_;
+  size_t line_no_;
   size_t pos_ = 0;
 };
 
@@ -269,30 +288,25 @@ Result<TableCatalog::CsvDirectoryReport> TableCatalog::AddCsvDirectory(
     return Status::IOError("error listing " + dir + ": " + ec.message());
   }
   std::sort(files.begin(), files.end());
+  const auto load = [&](const fs::path& path) -> Status {
+    TJ_ASSIGN_OR_RETURN(Table table, ReadCsvFile(path.string(), csv, storage_));
+    table.set_name(path.stem().string());
+    return AddTable(std::move(table)).status();
+  };
   CsvDirectoryReport report;
   for (const fs::path& path : files) {
     // One bad file must not abort a repository scan: unreadable or
     // unparseable entries (and name clashes) are warned about and skipped —
     // and counted, so callers can report the partial load; every healthy
     // table still loads.
-    auto table = ReadCsvFile(path.string(), csv, storage_);
-    if (!table.ok()) {
+    const Status loaded = load(path);
+    if (loaded.ok()) {
+      ++report.added;
+    } else {
       std::fprintf(stderr, "warning: skipping %s: %s\n",
-                   path.string().c_str(),
-                   table.status().ToString().c_str());
+                   path.string().c_str(), loaded.ToString().c_str());
       ++report.skipped;
-      continue;
     }
-    table->set_name(path.stem().string());
-    auto added = AddTable(*std::move(table));
-    if (!added.ok()) {
-      std::fprintf(stderr, "warning: skipping %s: %s\n",
-                   path.string().c_str(),
-                   added.status().ToString().c_str());
-      ++report.skipped;
-      continue;
-    }
-    ++report.added;
   }
   return report;
 }
@@ -716,58 +730,46 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
                                            : eol - pos);
     pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
     ++line_no;
-    auto fail = [&](const std::string& msg) {
-      return Status::InvalidArgument(
-          StrPrintf("signatures line %zu: %s", line_no, msg.c_str()));
-    };
-
     line = TrimAscii(line);
     if (line.empty()) continue;
+    LineCursor cursor(line, line_no);
     if (!saw_header) {
       if (line != kSignatureHeaderV2) {
-        return fail("missing tj-signatures header");
+        return cursor.Fail("missing tj-signatures header");
       }
       saw_header = true;
       continue;
     }
     if (line[0] == '#') continue;
 
-    LineCursor cursor(line);
     if (cursor.ConsumeWord("options")) {
-      if (!cursor.ConsumeKey("ngram")) return fail("expected ngram=");
-      auto ngram = cursor.ParseU64();
-      if (!ngram.ok()) return fail(ngram.status().message());
-      if (!cursor.ConsumeKey("hashes")) return fail("expected hashes=");
-      auto hashes = cursor.ParseU64();
-      if (!hashes.ok()) return fail(hashes.status().message());
-      if (!cursor.ConsumeKey("seed")) return fail("expected seed=");
-      auto seed = cursor.ParseU64();
-      if (!seed.ok()) return fail(seed.status().message());
-      if (!cursor.ConsumeKey("lowercase")) return fail("expected lowercase=");
-      auto lowercase = cursor.ParseU64();
-      if (!lowercase.ok()) return fail(lowercase.status().message());
-      if (*ngram != options_.ngram || *hashes != options_.num_hashes ||
-          *seed != options_.seed ||
-          (*lowercase != 0) != options_.lowercase) {
-        return fail("sketch parameters disagree with this catalog's options");
+      TJ_ASSIGN_OR_RETURN(const uint64_t ngram, cursor.KeyU64("ngram"));
+      TJ_ASSIGN_OR_RETURN(const uint64_t hashes, cursor.KeyU64("hashes"));
+      TJ_ASSIGN_OR_RETURN(const uint64_t seed, cursor.KeyU64("seed"));
+      TJ_ASSIGN_OR_RETURN(const uint64_t lowercase,
+                          cursor.KeyU64("lowercase"));
+      if (ngram != options_.ngram || hashes != options_.num_hashes ||
+          seed != options_.seed ||
+          (lowercase != 0) != options_.lowercase) {
+        return cursor.Fail(
+            "sketch parameters disagree with this catalog's options");
       }
       saw_options = true;
       continue;
     }
-    if (!saw_options) return fail("expected options line first");
+    if (!saw_options) return cursor.Fail("expected options line first");
 
     if (cursor.ConsumeWord("table")) {
-      if (column_pending) return fail("previous column missing its minhash");
-      auto name = cursor.ParseQuoted();
-      if (!name.ok()) return fail(name.status().message());
-      if (!cursor.ConsumeKey("fp")) return fail("expected fp=");
-      auto fp = cursor.ParseU64();
-      if (!fp.ok()) return fail(fp.status().message());
-      auto index = TableIndex(*name);
+      if (column_pending) {
+        return cursor.Fail("previous column missing its minhash");
+      }
+      TJ_ASSIGN_OR_RETURN(const std::string name, cursor.ParseQuoted());
+      TJ_ASSIGN_OR_RETURN(const uint64_t fp, cursor.KeyU64("fp"));
+      auto index = TableIndex(name);
       // An entry for a table this catalog no longer has, or whose content
       // changed since the cache was written, is stale, not fatal: skip the
       // block — the sketches will be recomputed.
-      if (!index.ok() || *fp != tables_[*index].fingerprint) {
+      if (!index.ok() || fp != tables_[*index].fingerprint) {
         skipping_block = true;
         current_table = kNoTable;
         continue;
@@ -777,54 +779,41 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       continue;
     }
     if (cursor.ConsumeWord("column")) {
-      if (column_pending) return fail("previous column missing its minhash");
-      auto name = cursor.ParseQuoted();
-      if (!name.ok()) return fail(name.status().message());
+      if (column_pending) {
+        return cursor.Fail("previous column missing its minhash");
+      }
+      TJ_ASSIGN_OR_RETURN(const std::string name, cursor.ParseQuoted());
       ColumnSignature sig;
       sig.ngram = options_.ngram;
       sig.seed = options_.seed;
-      if (!cursor.ConsumeKey("rows")) return fail("expected rows=");
-      auto rows = cursor.ParseU64();
-      if (!rows.ok()) return fail(rows.status().message());
-      sig.num_rows = static_cast<uint32_t>(*rows);
-      if (!cursor.ConsumeKey("distinct")) return fail("expected distinct=");
-      auto distinct = cursor.ParseU64();
-      if (!distinct.ok()) return fail(distinct.status().message());
-      sig.distinct_ngrams = *distinct;
-      if (!cursor.ConsumeKey("minlen")) return fail("expected minlen=");
-      auto minlen = cursor.ParseU64();
-      if (!minlen.ok()) return fail(minlen.status().message());
-      sig.min_length = static_cast<uint32_t>(*minlen);
-      if (!cursor.ConsumeKey("maxlen")) return fail("expected maxlen=");
-      auto maxlen = cursor.ParseU64();
-      if (!maxlen.ok()) return fail(maxlen.status().message());
-      sig.max_length = static_cast<uint32_t>(*maxlen);
-      if (!cursor.ConsumeKey("meanlen")) return fail("expected meanlen=");
-      auto meanlen = cursor.ParseDouble();
-      if (!meanlen.ok()) return fail(meanlen.status().message());
-      sig.mean_length = *meanlen;
-      if (!cursor.ConsumeKey("charset")) return fail("expected charset=");
-      auto charset = cursor.ParseU64();
-      if (!charset.ok()) return fail(charset.status().message());
-      sig.charset_mask = static_cast<uint32_t>(*charset);
+      TJ_ASSIGN_OR_RETURN(const uint64_t rows, cursor.KeyU64("rows"));
+      sig.num_rows = static_cast<uint32_t>(rows);
+      TJ_ASSIGN_OR_RETURN(sig.distinct_ngrams, cursor.KeyU64("distinct"));
+      TJ_ASSIGN_OR_RETURN(const uint64_t minlen, cursor.KeyU64("minlen"));
+      sig.min_length = static_cast<uint32_t>(minlen);
+      TJ_ASSIGN_OR_RETURN(const uint64_t maxlen, cursor.KeyU64("maxlen"));
+      sig.max_length = static_cast<uint32_t>(maxlen);
+      TJ_ASSIGN_OR_RETURN(sig.mean_length, cursor.KeyDouble("meanlen"));
+      TJ_ASSIGN_OR_RETURN(const uint64_t charset, cursor.KeyU64("charset"));
+      sig.charset_mask = static_cast<uint32_t>(charset);
       if (skipping_block) {
         skipped_sig = std::move(sig);
         column_pending = true;
         continue;
       }
       if (current_table == kNoTable) {
-        return fail("column before any table");
+        return cursor.Fail("column before any table");
       }
       const uint32_t owner_id = current_table;
       const Table& owner = *tables_[owner_id].table;
-      auto col = owner.ColumnIndex(*name);
+      auto col = owner.ColumnIndex(name);
       if (!col.ok()) {
-        return fail("table '" + owner.name() + "' has no column '" + *name +
-                    "'");
+        return cursor.Fail("table '" + owner.name() + "' has no column '" +
+                           name + "'");
       }
       if (sig.num_rows !=
           column(ColumnRef{owner_id, static_cast<uint32_t>(*col)}).size()) {
-        return fail("row count disagrees with the catalog table");
+        return cursor.Fail("row count disagrees with the catalog table");
       }
       staged.emplace_back(ColumnRef{owner_id, static_cast<uint32_t>(*col)},
                           std::move(sig));
@@ -832,24 +821,24 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       continue;
     }
     if (cursor.ConsumeWord("minhash")) {
-      if (!column_pending) return fail("minhash before any column");
+      if (!column_pending) return cursor.Fail("minhash before any column");
       ColumnSignature& sig =
           skipping_block ? skipped_sig : staged.back().second;
-      if (!sig.minhash.empty()) return fail("duplicate minhash line");
+      if (!sig.minhash.empty()) return cursor.Fail("duplicate minhash line");
       sig.minhash.reserve(options_.num_hashes);
       while (!cursor.AtEnd()) {
-        auto h = cursor.ParseU64();
-        if (!h.ok()) return fail(h.status().message());
-        sig.minhash.push_back(*h);
+        TJ_ASSIGN_OR_RETURN(const uint64_t h, cursor.ParseU64());
+        sig.minhash.push_back(h);
       }
       if (sig.minhash.size() != options_.num_hashes) {
-        return fail(StrPrintf("expected %zu minhash slots, got %zu",
-                              options_.num_hashes, sig.minhash.size()));
+        return cursor.Fail(StrPrintf("expected %zu minhash slots, got %zu",
+                                     options_.num_hashes,
+                                     sig.minhash.size()));
       }
       column_pending = false;
       continue;
     }
-    return fail("unrecognized line");
+    return cursor.Fail("unrecognized line");
   }
   if (!saw_header) {
     return Status::InvalidArgument("signatures: missing tj-signatures header");

@@ -164,8 +164,9 @@ void IncrementalPairPruner::FoldIn(const TableCatalog& catalog,
   TJ_CHECK(catalog.IsLive(table_id));
   TJ_CHECK(tracked_.find(table_id) == tracked_.end());
 
+  // SharedTable reads metadata without re-mapping an evicted table.
   const auto num_new_columns =
-      static_cast<uint32_t>(catalog.table(table_id).num_columns());
+      static_cast<uint32_t>(catalog.SharedTable(table_id)->num_columns());
 
   // Probe before inserting: the index holds only previously tracked
   // columns, so the new table cannot collide with itself and OnTableUpdated

@@ -73,6 +73,8 @@ struct ColumnPairCandidate {
   /// AverageLength exactly, so downstream consumers can orient the pair
   /// without rescanning either column.
   bool a_is_source = true;
+
+  bool operator==(const ColumnPairCandidate&) const = default;
 };
 
 struct PairPrunerResult {

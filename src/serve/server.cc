@@ -28,6 +28,18 @@ JsonValue ErrorResponse(const Status& status) {
   return response;
 }
 
+JsonValue Count(uint64_t n) {
+  return JsonValue::Number(static_cast<double>(n));
+}
+
+/// The head every successful response starts with.
+JsonValue OkResponse(uint64_t epoch) {
+  JsonValue response = JsonValue::Object();
+  response.Set("ok", JsonValue::Bool(true));
+  response.Set("epoch", Count(epoch));
+  return response;
+}
+
 /// "table" from "table.csv"; the inverse of the CSV-directory naming rule.
 std::string StemOf(const std::string& filename) {
   return std::filesystem::path(filename).stem().string();
@@ -96,10 +108,8 @@ JsonValue PairResultToJson(const CorpusColumnSource& source,
            JsonValue::Str(source.table_name(result.target.table) + "." +
                           source.column_name(result.target)));
   json.Set("score", JsonValue::Number(result.candidate.score));
-  json.Set("learning_pairs",
-           JsonValue::Number(static_cast<double>(result.learning_pairs)));
-  json.Set("joined_rows",
-           JsonValue::Number(static_cast<double>(result.joined_rows)));
+  json.Set("learning_pairs", Count(result.learning_pairs));
+  json.Set("joined_rows", Count(result.joined_rows));
   json.Set("top_coverage", JsonValue::Number(result.top_coverage));
   JsonValue transformations = JsonValue::Array();
   for (const std::string& t : result.transformations) {
@@ -288,48 +298,37 @@ void CorpusServer::HandleConnection(int fd) {
 }
 
 std::string CorpusServer::HandleRequest(std::string_view payload) {
-  Result<JsonValue> parsed = JsonValue::Parse(payload);
-  if (!parsed.ok()) return ErrorResponse(parsed.status()).Serialize();
-  const JsonValue& request = *parsed;
-  const JsonValue* op = request.Find("op");
-  if (op == nullptr || !op->is_string()) {
-    return ErrorResponse(Status::InvalidArgument(
-                             "request must be an object with a string 'op'"))
-        .Serialize();
+  Result<JsonValue> response = Dispatch(payload);
+  if (!response.ok()) {
+    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
+    return ErrorResponse(response.status()).Serialize();
   }
-  const std::string& name = op->AsString();
-  JsonValue response;
-  if (name == "joinable") {
-    response = HandleJoinable(request);
-  } else if (name == "transform-join") {
-    response = HandleTransformJoin(request);
-  } else if (name == "add") {
-    response = HandleMutation(request, Mutation::Kind::kAdd);
-  } else if (name == "update") {
-    response = HandleMutation(request, Mutation::Kind::kUpdate);
-  } else if (name == "remove") {
-    response = HandleMutation(request, Mutation::Kind::kRemove);
-  } else if (name == "stats") {
-    response = HandleStats();
-  } else if (name == "shutdown") {
+  return response->Serialize();
+}
+
+Result<JsonValue> CorpusServer::Dispatch(std::string_view payload) {
+  TJ_ASSIGN_OR_RETURN(const JsonValue request, JsonValue::Parse(payload));
+  const JsonValue* op_field = request.Find("op");
+  if (op_field == nullptr || !op_field->is_string()) {
+    return Status::InvalidArgument(
+        "request must be an object with a string 'op'");
+  }
+  const std::string& op = op_field->AsString();
+  if (op == "joinable") return HandleJoinable(request);
+  if (op == "transform-join") return HandleTransformJoin(request);
+  if (op == "add") return HandleMutation(request, Mutation::Kind::kAdd);
+  if (op == "update") return HandleMutation(request, Mutation::Kind::kUpdate);
+  if (op == "remove") return HandleMutation(request, Mutation::Kind::kRemove);
+  if (op == "stats") return HandleStats();
+  if (op == "shutdown") {
     {
       std::lock_guard<std::mutex> lock(wait_mu_);
       shutdown_requested_ = true;
     }
     wait_cv_.notify_all();
-    response = JsonValue::Object();
-    response.Set("ok", JsonValue::Bool(true));
-    response.Set("epoch", JsonValue::Number(
-                              static_cast<double>(current_snapshot()->epoch())));
-  } else {
-    response =
-        ErrorResponse(Status::Unimplemented("unknown op '" + name + "'"));
+    return OkResponse(current_snapshot()->epoch());
   }
-  if (!response.is_object() || response.Find("ok") == nullptr ||
-      !response.Find("ok")->AsBool()) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return response.Serialize();
+  return Status::Unimplemented("unknown op '" + op + "'");
 }
 
 Result<CorpusDiscoveryOptions> CorpusServer::RequestOptions(
@@ -345,21 +344,20 @@ Result<CorpusDiscoveryOptions> CorpusServer::RequestOptions(
   return options;
 }
 
-JsonValue CorpusServer::HandleJoinable(const JsonValue& request) {
+Result<JsonValue> CorpusServer::HandleJoinable(const JsonValue& request) {
   const JsonValue* column = request.Find("column");
   if (column == nullptr || !column->is_string()) {
-    return ErrorResponse(
-        Status::InvalidArgument("'joinable' needs a string 'column'"));
+    return Status::InvalidArgument("'joinable' needs a string 'column'");
   }
-  Result<CorpusDiscoveryOptions> options = RequestOptions(request);
-  if (!options.ok()) return ErrorResponse(options.status());
+  TJ_ASSIGN_OR_RETURN(CorpusDiscoveryOptions options,
+                      RequestOptions(request));
 
   const std::shared_ptr<const CorpusSnapshot> snapshot = current_snapshot();
   // This epoch's shared per-column indexes; the snapshot (held for the
   // whole evaluation) keeps the cache alive.
-  options->index_cache = snapshot->index_cache().get();
-  Result<ColumnRef> ref = snapshot->ResolveColumn(column->AsString());
-  if (!ref.ok()) return ErrorResponse(ref.status());
+  options.index_cache = snapshot->index_cache().get();
+  TJ_ASSIGN_OR_RETURN(const ColumnRef ref,
+                      snapshot->ResolveColumn(column->AsString()));
 
   // Evaluate the shortlisted candidates involving this column, in shortlist
   // (ranked) order — each per-pair result is exactly what a batch
@@ -369,99 +367,87 @@ JsonValue CorpusServer::HandleJoinable(const JsonValue& request) {
     std::lock_guard<std::mutex> gate(compute_mu_);
     for (const ColumnPairCandidate& candidate :
          snapshot->shortlist().shortlist) {
-      if (!(candidate.a == *ref) && !(candidate.b == *ref)) continue;
-      const CorpusPairResult pair = EvaluateCandidate(
-          *snapshot, candidate, *options, pool_,
-          options->use_orientation_hints);
+      if (!(candidate.a == ref) && !(candidate.b == ref)) continue;
+      const CorpusPairResult pair =
+          EvaluateCandidate(*snapshot, candidate, options, pool_,
+                            options.use_orientation_hints);
       results.Append(PairResultToJson(*snapshot, pair));
     }
   }
   queries_served_.fetch_add(1, std::memory_order_relaxed);
 
-  JsonValue response = JsonValue::Object();
-  response.Set("ok", JsonValue::Bool(true));
-  response.Set("epoch",
-               JsonValue::Number(static_cast<double>(snapshot->epoch())));
-  response.Set("column", JsonValue::Str(snapshot->SpecOf(*ref)));
+  JsonValue response = OkResponse(snapshot->epoch());
+  response.Set("column", JsonValue::Str(snapshot->SpecOf(ref)));
   response.Set("results", std::move(results));
   return response;
 }
 
-JsonValue CorpusServer::HandleTransformJoin(const JsonValue& request) {
+Result<JsonValue> CorpusServer::HandleTransformJoin(
+    const JsonValue& request) {
   const JsonValue* source = request.Find("source");
   const JsonValue* target = request.Find("target");
   if (source == nullptr || !source->is_string() || target == nullptr ||
       !target->is_string()) {
-    return ErrorResponse(Status::InvalidArgument(
-        "'transform-join' needs string 'source' and 'target'"));
+    return Status::InvalidArgument(
+        "'transform-join' needs string 'source' and 'target'");
   }
-  Result<CorpusDiscoveryOptions> options = RequestOptions(request);
-  if (!options.ok()) return ErrorResponse(options.status());
+  TJ_ASSIGN_OR_RETURN(CorpusDiscoveryOptions options,
+                      RequestOptions(request));
 
   const std::shared_ptr<const CorpusSnapshot> snapshot = current_snapshot();
-  options->index_cache = snapshot->index_cache().get();
-  Result<ColumnRef> source_ref = snapshot->ResolveColumn(source->AsString());
-  if (!source_ref.ok()) return ErrorResponse(source_ref.status());
-  Result<ColumnRef> target_ref = snapshot->ResolveColumn(target->AsString());
-  if (!target_ref.ok()) return ErrorResponse(target_ref.status());
-  if (*source_ref == *target_ref) {
-    return ErrorResponse(
-        Status::InvalidArgument("source and target are the same column"));
+  options.index_cache = snapshot->index_cache().get();
+  TJ_ASSIGN_OR_RETURN(const ColumnRef source_ref,
+                      snapshot->ResolveColumn(source->AsString()));
+  TJ_ASSIGN_OR_RETURN(const ColumnRef target_ref,
+                      snapshot->ResolveColumn(target->AsString()));
+  if (source_ref == target_ref) {
+    return Status::InvalidArgument("source and target are the same column");
   }
 
   // The client fixed the orientation, so the candidate carries it as a
   // hint instead of letting the column rescan pick.
   ColumnPairCandidate candidate;
-  candidate.a = *source_ref;
-  candidate.b = *target_ref;
+  candidate.a = source_ref;
+  candidate.b = target_ref;
   candidate.a_is_source = true;
   CorpusPairResult pair;
   {
     std::lock_guard<std::mutex> gate(compute_mu_);
-    pair = EvaluateCandidate(*snapshot, candidate, *options, pool_,
+    pair = EvaluateCandidate(*snapshot, candidate, options, pool_,
                              /*use_orientation_hint=*/true);
   }
   queries_served_.fetch_add(1, std::memory_order_relaxed);
 
-  JsonValue response = JsonValue::Object();
-  response.Set("ok", JsonValue::Bool(true));
-  response.Set("epoch",
-               JsonValue::Number(static_cast<double>(snapshot->epoch())));
+  JsonValue response = OkResponse(snapshot->epoch());
   response.Set("result", PairResultToJson(*snapshot, pair));
   return response;
 }
 
-JsonValue CorpusServer::HandleMutation(const JsonValue& request,
-                                       Mutation::Kind kind) {
+Result<JsonValue> CorpusServer::HandleMutation(const JsonValue& request,
+                                               Mutation::Kind kind) {
   auto mutation = std::make_shared<Mutation>();
   mutation->kind = kind;
   mutation->waited = true;
   if (kind == Mutation::Kind::kRemove) {
     const JsonValue* name = request.Find("name");
     if (name == nullptr || !name->is_string()) {
-      return ErrorResponse(
-          Status::InvalidArgument("'remove' needs a string 'name'"));
+      return Status::InvalidArgument("'remove' needs a string 'name'");
     }
     mutation->name = name->AsString();
   } else {
     const JsonValue* path = request.Find("path");
     if (path == nullptr || !path->is_string()) {
-      return ErrorResponse(
-          Status::InvalidArgument("mutation needs a string 'path'"));
+      return Status::InvalidArgument("mutation needs a string 'path'");
     }
     mutation->path = path->AsString();
     mutation->name = StemOf(mutation->path);
     if (mutation->name.empty()) {
-      return ErrorResponse(Status::InvalidArgument(
-          "cannot derive a table name from '" + mutation->path + "'"));
+      return Status::InvalidArgument("cannot derive a table name from '" +
+                                     mutation->path + "'");
     }
   }
-  const Status applied = EnqueueMutation(mutation);
-  if (!applied.ok()) return ErrorResponse(applied);
-  JsonValue response = JsonValue::Object();
-  response.Set("ok", JsonValue::Bool(true));
-  response.Set("epoch",
-               JsonValue::Number(static_cast<double>(mutation->epoch)));
+  TJ_RETURN_IF_ERROR(EnqueueMutation(mutation));
+  JsonValue response = OkResponse(mutation->epoch);
   response.Set("table", JsonValue::Str(mutation->name));
   return response;
 }
@@ -473,57 +459,31 @@ JsonValue CorpusServer::HandleStats() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     pending = queue_.size();
   }
-  JsonValue response = JsonValue::Object();
-  response.Set("ok", JsonValue::Bool(true));
-  response.Set("epoch",
-               JsonValue::Number(static_cast<double>(snapshot->epoch())));
+  JsonValue response = OkResponse(snapshot->epoch());
   // Snapshot-recorded figures only — stats never scans the live catalog,
   // which may be mid-mutation on the other side of the compute gate.
-  response.Set("tables", JsonValue::Number(
-                             static_cast<double>(snapshot->num_tables())));
-  response.Set("columns", JsonValue::Number(
-                              static_cast<double>(snapshot->num_columns())));
-  response.Set("shortlist",
-               JsonValue::Number(static_cast<double>(
-                   snapshot->shortlist().shortlist.size())));
-  response.Set("resident_bytes",
-               JsonValue::Number(
-                   static_cast<double>(snapshot->resident_bytes())));
-  response.Set("spilled_bytes",
-               JsonValue::Number(
-                   static_cast<double>(snapshot->spilled_bytes())));
-  response.Set("lsh_buckets",
-               JsonValue::Number(
-                   static_cast<double>(snapshot->lsh_buckets())));
-  response.Set("lsh_entries",
-               JsonValue::Number(
-                   static_cast<double>(snapshot->lsh_entries())));
+  response.Set("tables", Count(snapshot->num_tables()));
+  response.Set("columns", Count(snapshot->num_columns()));
+  response.Set("shortlist", Count(snapshot->shortlist().shortlist.size()));
+  response.Set("resident_bytes", Count(snapshot->resident_bytes()));
+  response.Set("spilled_bytes", Count(snapshot->spilled_bytes()));
+  response.Set("lsh_buckets", Count(snapshot->lsh_buckets()));
+  response.Set("lsh_entries", Count(snapshot->lsh_entries()));
   // This epoch's index-cache counters: how much per-column index work the
   // served queries are sharing instead of rebuilding.
   const IndexCacheStats cache_stats = snapshot->index_cache()->GetStats();
-  response.Set("index_cache_hits",
-               JsonValue::Number(static_cast<double>(cache_stats.hits)));
-  response.Set("index_cache_misses",
-               JsonValue::Number(static_cast<double>(cache_stats.misses)));
-  response.Set("index_cache_bytes",
-               JsonValue::Number(static_cast<double>(cache_stats.bytes)));
-  response.Set("queries_served",
-               JsonValue::Number(static_cast<double>(
-                   queries_served_.load(std::memory_order_relaxed))));
-  response.Set("mutations_applied",
-               JsonValue::Number(static_cast<double>(
-                   mutations_applied_.load(std::memory_order_relaxed))));
-  response.Set("snapshot_rebuilds",
-               JsonValue::Number(static_cast<double>(
-                   snapshot_rebuilds_.load(std::memory_order_relaxed))));
-  response.Set("watch_events",
-               JsonValue::Number(static_cast<double>(
-                   watch_events_.load(std::memory_order_relaxed))));
-  response.Set("requests_rejected",
-               JsonValue::Number(static_cast<double>(
-                   requests_rejected_.load(std::memory_order_relaxed))));
-  response.Set("pending_mutations",
-               JsonValue::Number(static_cast<double>(pending)));
+  response.Set("index_cache_hits", Count(cache_stats.hits));
+  response.Set("index_cache_misses", Count(cache_stats.misses));
+  response.Set("index_cache_bytes", Count(cache_stats.bytes));
+  const auto load = [](const std::atomic<uint64_t>& counter) {
+    return Count(counter.load(std::memory_order_relaxed));
+  };
+  response.Set("queries_served", load(queries_served_));
+  response.Set("mutations_applied", load(mutations_applied_));
+  response.Set("snapshot_rebuilds", load(snapshot_rebuilds_));
+  response.Set("watch_events", load(watch_events_));
+  response.Set("requests_rejected", load(requests_rejected_));
+  response.Set("pending_mutations", Count(pending));
   return response;
 }
 
@@ -593,17 +553,16 @@ void CorpusServer::MutationLoop() {
 
 Status CorpusServer::ApplyMutation(Mutation* m) {
   if (m->kind == Mutation::Kind::kRemove) {
-    Result<uint32_t> id = catalog_->TableIndex(m->name);
-    if (!id.ok()) return id.status();
+    TJ_ASSIGN_OR_RETURN(const uint32_t id, catalog_->TableIndex(m->name));
     TJ_RETURN_IF_ERROR(catalog_->RemoveTable(m->name));
-    pruner_.OnTableRemoved(*id);
+    pruner_.OnTableRemoved(id);
     return Status::OK();
   }
 
-  Result<Table> table =
-      ReadCsvFile(m->path, options_.csv, catalog_->storage_options());
-  if (!table.ok()) return table.status();
-  table->set_name(m->name);
+  TJ_ASSIGN_OR_RETURN(
+      Table table,
+      ReadCsvFile(m->path, options_.csv, catalog_->storage_options()));
+  table.set_name(m->name);
 
   Mutation::Kind kind = m->kind;
   if (kind == Mutation::Kind::kAddOrUpdate) {
@@ -611,15 +570,15 @@ Status CorpusServer::ApplyMutation(Mutation* m) {
                                               : Mutation::Kind::kAdd;
   }
   if (kind == Mutation::Kind::kAdd) {
-    Result<uint32_t> id = catalog_->AddTable(*std::move(table));
-    if (!id.ok()) return id.status();
+    TJ_ASSIGN_OR_RETURN(const uint32_t id,
+                        catalog_->AddTable(std::move(table)));
     catalog_->ComputeSignatures(pool_);
-    pruner_.OnTableAdded(*catalog_, *id, pool_);
+    pruner_.OnTableAdded(*catalog_, id, pool_);
   } else {
-    Result<uint32_t> id = catalog_->UpdateTable(*std::move(table));
-    if (!id.ok()) return id.status();
+    TJ_ASSIGN_OR_RETURN(const uint32_t id,
+                        catalog_->UpdateTable(std::move(table)));
     catalog_->ComputeSignatures(pool_);
-    pruner_.OnTableUpdated(*catalog_, *id, pool_);
+    pruner_.OnTableUpdated(*catalog_, id, pool_);
   }
   return Status::OK();
 }

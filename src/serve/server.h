@@ -180,9 +180,12 @@ class CorpusServer {
   /// Parses + dispatches one request payload; always returns a response
   /// frame body.
   std::string HandleRequest(std::string_view payload);
-  JsonValue HandleJoinable(const JsonValue& request);
-  JsonValue HandleTransformJoin(const JsonValue& request);
-  JsonValue HandleMutation(const JsonValue& request, Mutation::Kind kind);
+  /// Parses and runs one request; an error becomes the error response.
+  Result<JsonValue> Dispatch(std::string_view payload);
+  Result<JsonValue> HandleJoinable(const JsonValue& request);
+  Result<JsonValue> HandleTransformJoin(const JsonValue& request);
+  Result<JsonValue> HandleMutation(const JsonValue& request,
+                                   Mutation::Kind kind);
   JsonValue HandleStats();
 
   /// Applies one mutation to catalog + pruner. Compute gate must be held.

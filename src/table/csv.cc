@@ -236,7 +236,7 @@ Result<Table> ReadCsvString(std::string_view text, const CsvOptions& options,
                      &status)) {
     TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
   }
-  if (!status.ok()) return status;
+  TJ_RETURN_IF_ERROR(status);
   return builder.Finish();
 }
 
@@ -282,11 +282,11 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options,
                        &status)) {
         break;
       }
-      if (!status.ok()) return status;
+      TJ_RETURN_IF_ERROR(status);
       TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
       scan.StartRecordAt(pos);
     }
-    if (!status.ok()) return status;
+    TJ_RETURN_IF_ERROR(status);
     buf.erase(0, pos);
     scan.Rebase(pos);
   }
@@ -299,7 +299,7 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options,
                      &status)) {
     TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
   }
-  if (!status.ok()) return status;
+  TJ_RETURN_IF_ERROR(status);
   return builder.Finish();
 }
 

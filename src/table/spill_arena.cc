@@ -38,9 +38,7 @@ Status EnsureSpillDir(const std::string& dir) {
     return Status::IOError("cannot create spill directory " + dir + ": " +
                            ec.message());
   }
-  auto probe = MmapFile::Create(NextSpillPath(dir));
-  if (!probe.ok()) return probe.status();
-  return Status::OK();
+  return MmapFile::Create(NextSpillPath(dir)).status();
 }
 
 Result<std::unique_ptr<ArenaBackend>> SpillArena::Create(
@@ -51,10 +49,10 @@ Result<std::unique_ptr<ArenaBackend>> SpillArena::Create(
     return Status::IOError("cannot create spill directory " + spill_dir +
                            ": " + ec.message());
   }
-  auto file = MmapFile::Create(NextSpillPath(spill_dir));
-  if (!file.ok()) return file.status();
+  TJ_ASSIGN_OR_RETURN(MmapFile file,
+                      MmapFile::Create(NextSpillPath(spill_dir)));
   return std::unique_ptr<ArenaBackend>(
-      new SpillArena(std::move(spill_dir), std::move(*file)));
+      new SpillArena(std::move(spill_dir), std::move(file)));
 }
 
 Status SpillArena::Grow(size_t min_capacity) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -73,6 +76,72 @@ Status Chain(int x) {
 TEST(Status, ReturnIfErrorMacroPropagates) {
   EXPECT_TRUE(Chain(1).ok());
   EXPECT_EQ(Chain(-1).code(), StatusCode::kInvalidArgument);
+}
+
+Result<int> Half(int x) {
+  if (x % 2 != 0) return Status::InvalidArgument("odd: " + std::to_string(x));
+  return x / 2;
+}
+
+// Two expansions in one scope: the temporaries must not collide.
+Result<int> Quarter(int x) {
+  TJ_ASSIGN_OR_RETURN(const int half, Half(x));
+  TJ_ASSIGN_OR_RETURN(const int quarter, Half(half));
+  return quarter;
+}
+
+Status QuarterInto(int x, int* out) {
+  TJ_ASSIGN_OR_RETURN(*out, Quarter(x));
+  return Status::OK();
+}
+
+TEST(Status, AssignOrReturnPropagatesError) {
+  ASSERT_TRUE(Quarter(8).ok());
+  EXPECT_EQ(*Quarter(8), 2);
+  EXPECT_EQ(Quarter(7).status(), Status::InvalidArgument("odd: 7"));
+  EXPECT_EQ(Quarter(6).status(), Status::InvalidArgument("odd: 3"));
+
+  int out = -1;
+  EXPECT_TRUE(QuarterInto(12, &out).ok());
+  EXPECT_EQ(out, 3);
+  EXPECT_EQ(QuarterInto(5, &out).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out, 3);  // an error leaves the target alone
+}
+
+struct CopyCounter {
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter& other) : copies(other.copies + 1) {}
+  CopyCounter(CopyCounter&& other) noexcept : copies(other.copies) {}
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+  int copies = 0;
+};
+
+Result<int> CopiesSeen() {
+  TJ_ASSIGN_OR_RETURN(const CopyCounter value,
+                      Result<CopyCounter>(CopyCounter()));
+  return value.copies;
+}
+
+TEST(Status, AssignOrReturnMovesTheValue) {
+  ASSERT_TRUE(CopiesSeen().ok());
+  EXPECT_EQ(*CopiesSeen(), 0);
+}
+
+Result<std::unique_ptr<int>> MakeBox(int x) {
+  if (x < 0) return Status::OutOfRange("negative");
+  return std::make_unique<int>(x);
+}
+
+Result<int> Unbox(int x) {
+  TJ_ASSIGN_OR_RETURN(std::unique_ptr<int> box, MakeBox(x));
+  return *box + 1;
+}
+
+TEST(Status, AssignOrReturnWorksWithMoveOnlyValues) {
+  ASSERT_TRUE(Unbox(41).ok());
+  EXPECT_EQ(*Unbox(41), 42);
+  EXPECT_EQ(Unbox(-1).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(Hash, Mix64IsDeterministicAndSpreads) {

@@ -491,7 +491,7 @@ TEST(PerfCounters, GroupDegradesGracefullyAndDeltasClamp) {
     // Burn some instructions; counters are cumulative, so a later read
     // minus an earlier one is non-negative by construction.
     volatile uint64_t sink = 0;
-    for (uint64_t i = 0; i < 100000; ++i) sink += Mix64(i);
+    for (uint64_t i = 0; i < 100000; ++i) sink = sink + Mix64(i);
     const PerfSample end = group.Read();
     const PerfSample delta = end.Since(begin);
     EXPECT_TRUE(delta.available);

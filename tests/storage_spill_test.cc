@@ -19,6 +19,7 @@
 
 #include "corpus/catalog.h"
 #include "corpus/corpus_discovery.h"
+#include "corpus/pair_pruner.h"
 #include "corpus/signature.h"
 #include "datagen/corpus.h"
 #include "table/csv.h"
@@ -376,6 +377,49 @@ TEST_F(SpillTest, CatalogEvictsColdTablesAndRemapsOnAccess) {
   for (const ColumnRef ref : catalog.AllColumns()) {
     EXPECT_TRUE(catalog.HasSignature(ref));
   }
+}
+
+TEST_F(SpillTest, IncrementalRebuildLeavesEvictedTablesEvicted) {
+  // Folding a table into the live pruner needs only its column count and
+  // sketches, so Rebuild over a budgeted spilled catalog (tjd start, the
+  // CLI's --add/--remove/--update flow) must not re-map evicted tables.
+  SynthCorpusOptions corpus_options;
+  corpus_options.num_joinable_pairs = 20;
+  corpus_options.num_noise_tables = 10;
+  corpus_options.rows = 200;
+  const SynthCorpus corpus = GenerateSynthCorpus(corpus_options);
+  TableCatalog catalog(SignatureOptions(), Storage(/*budget=*/8 << 10));
+  for (const Table& table : corpus.tables) {
+    ASSERT_TRUE(catalog.AddTable(table).ok());
+  }
+  catalog.ComputeSignatures();
+  // Table::resident() on the shared handle reads residency without
+  // re-mapping (catalog.table() would fault the table back in).
+  const auto resident_tables = [&catalog] {
+    size_t resident = 0;
+    for (uint32_t t = 0; t < catalog.num_slots(); ++t) {
+      if (catalog.IsLive(t) && catalog.SharedTable(t)->resident()) {
+        ++resident;
+      }
+    }
+    return resident;
+  };
+  const size_t tables_before = resident_tables();
+  const size_t bytes_before = catalog.ResidentCellBytes();
+  ASSERT_LT(tables_before, catalog.num_tables());
+
+  const PairPrunerOptions options;
+  IncrementalPairPruner pruner(options);
+  pruner.Rebuild(catalog);
+  EXPECT_EQ(resident_tables(), tables_before);
+  EXPECT_EQ(catalog.ResidentCellBytes(), bytes_before);
+
+  const PairPrunerResult incremental = pruner.Snapshot();
+  const PairPrunerResult scratch = ShortlistPairs(catalog, options);
+  EXPECT_EQ(incremental.total_pairs, scratch.total_pairs);
+  EXPECT_EQ(incremental.pruned_pairs, scratch.pruned_pairs);
+  ASSERT_FALSE(scratch.shortlist.empty());
+  EXPECT_TRUE(incremental.shortlist == scratch.shortlist);
 }
 
 TEST_F(SpillTest, AddCsvDirectorySkipsBadFilesWithWarning) {
