@@ -37,9 +37,7 @@ const Workload& CoverageWorkload() {
     w->rows = MakeExamplePairs(ds.pair.SourceColumn(),
                                ds.pair.TargetColumn(),
                                ds.pair.golden.pairs());
-    DiscoveryOptions options;
-    options.num_threads = 1;
-    w->base = DiscoverTransformations(w->rows, options);
+    w->base = DiscoverTransformations(w->rows, DiscoveryOptions());
     return w;
   }();
   return *workload;
@@ -47,8 +45,9 @@ const Workload& CoverageWorkload() {
 
 void BM_CoverageThreads(benchmark::State& state) {
   const Workload& w = CoverageWorkload();
+  ThreadPool pool(static_cast<int>(state.range(0)));
   DiscoveryOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
+  options.pool = &pool;
   size_t covering_pairs = 0;
   for (auto _ : state) {
     DiscoveryStats stats;
@@ -60,8 +59,7 @@ void BM_CoverageThreads(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(w.base.store.size()) *
                           static_cast<int64_t>(w.rows.size()));
-  state.counters["threads"] =
-      static_cast<double>(ResolveNumThreads(static_cast<int>(state.range(0))));
+  state.counters["threads"] = static_cast<double>(pool.size());
   state.counters["covering_pairs"] = static_cast<double>(covering_pairs);
 }
 BENCHMARK(BM_CoverageThreads)
@@ -74,15 +72,15 @@ BENCHMARK(BM_CoverageThreads)
 
 void BM_DiscoveryEndToEndThreads(benchmark::State& state) {
   const Workload& w = CoverageWorkload();
+  ThreadPool pool(static_cast<int>(state.range(0)));
   DiscoveryOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
+  options.pool = &pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(DiscoverTransformations(w.rows, options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(w.rows.size()));
-  state.counters["threads"] =
-      static_cast<double>(ResolveNumThreads(static_cast<int>(state.range(0))));
+  state.counters["threads"] = static_cast<double>(pool.size());
 }
 BENCHMARK(BM_DiscoveryEndToEndThreads)
     ->Arg(1)
@@ -95,15 +93,15 @@ BENCHMARK(BM_DiscoveryEndToEndThreads)
 void BM_InvertedIndexBuildThreads(benchmark::State& state) {
   static const SynthDataset* ds =
       new SynthDataset(GenerateSynth(SynthN(400, 3)));
-  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(NgramInvertedIndex::Build(
-        ds->pair.SourceColumn(), 4, 20, true, threads));
+        ds->pair.SourceColumn(), 4, 20, true, &pool));
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations()) *
       static_cast<int64_t>(ds->pair.SourceColumn().size()));
-  state.counters["threads"] = static_cast<double>(ResolveNumThreads(threads));
+  state.counters["threads"] = static_cast<double>(pool.size());
 }
 BENCHMARK(BM_InvertedIndexBuildThreads)
     ->Arg(1)

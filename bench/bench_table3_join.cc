@@ -16,6 +16,7 @@
 #include "benchlib/report.h"
 #include "benchlib/suite.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace tj {
@@ -35,7 +36,10 @@ PrfMetrics RunAutoJoinJoin(const TablePair& pair, const BenchDataset& config) {
 
 void Run() {
   std::printf("== Table 3: End-to-end join (P / R / F1) ==\n\n");
-  const std::vector<BenchDataset> suite = BuildSuite(SuiteOptionsFromEnv());
+  const SuiteOptions suite_options = SuiteOptionsFromEnv();
+  const std::vector<BenchDataset> suite = BuildSuite(suite_options);
+  // One pool for the whole bench, shared by every pair's discovery.
+  ThreadPool pool(suite_options.num_threads);
   TablePrinter table({"Dataset", "Ours P", "Ours R", "Ours F", "AFJ P",
                       "AFJ R", "AFJ F", "AJ P", "AJ R", "AJ F"});
   for (const BenchDataset& dataset : suite) {
@@ -46,6 +50,7 @@ void Run() {
       JoinOptions options;
       options.matching = MatchingMode::kNgram;
       options.discovery = dataset.discovery;
+      options.discovery.pool = &pool;
       options.min_join_support = dataset.join_support;
       options.sample_pairs = dataset.sample_pairs;
       const JoinResult ours = TransformJoin(pair, options);

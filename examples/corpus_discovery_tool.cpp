@@ -468,8 +468,21 @@ volatile std::sig_atomic_t g_signal_stop = 0;
 
 void OnStopSignal(int) { g_signal_stop = 1; }
 
+/// Writes the catalog's signatures to `path` when one was given; a failure
+/// is reported and otherwise ignored (the cache only saves re-sketching).
+void SaveSignatureCache(const tj::TableCatalog& catalog,
+                        const std::string& path) {
+  if (path.empty()) return;
+  const tj::Status saved = catalog.SaveSignaturesToFile(path);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "error saving signature cache: %s\n",
+                 saved.ToString().c_str());
+  }
+}
+
 tj::Status RunDaemon(tj::TableCatalog* catalog,
-                     tj::serve::ServeOptions options, int num_threads) {
+                     tj::serve::ServeOptions options, int num_threads,
+                     const std::string& signatures_path) {
   // One pool for the daemon's whole life: signatures, shortlist
   // maintenance, and every served query's per-pair fan-out (all serialized
   // by the server's compute gate).
@@ -493,6 +506,9 @@ tj::Status RunDaemon(tj::TableCatalog* catalog,
               static_cast<unsigned long long>(server.queries_served()),
               static_cast<unsigned long long>(server.mutations_applied()));
   server.Shutdown();
+  // Only now is the catalog quiesced: saving while serving would race the
+  // server's mutation thread.
+  SaveSignatureCache(*catalog, signatures_path);
   return tj::Status::OK();
 }
 
@@ -537,7 +553,8 @@ tj::Status Discover(Args* args, const std::string& dir) {
   if (args->mode == kServe) {
     args->serve.socket_path = args->mode_arg;
     args->serve.discovery = options;
-    return RunDaemon(&catalog, std::move(args->serve), options.num_threads);
+    return RunDaemon(&catalog, std::move(args->serve), options.num_threads,
+                     args->signatures_path);
   }
 
   // One cache spans the whole invocation: the batch run's pre-warm, or —
@@ -573,13 +590,7 @@ tj::Status Discover(Args* args, const std::string& dir) {
     result = EvaluateShortlist(catalog, pruner.Snapshot(), options, &pool);
   }
 
-  if (!args->signatures_path.empty()) {
-    const Status saved = catalog.SaveSignaturesToFile(args->signatures_path);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "error saving signature cache: %s\n",
-                   saved.ToString().c_str());
-    }
-  }
+  SaveSignatureCache(catalog, args->signatures_path);
 
   std::printf("column pairs: %zu total, %zu pruned (%.1f%%), %zu evaluated\n",
               result.total_column_pairs, result.pruned_pairs,

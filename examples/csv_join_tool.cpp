@@ -21,6 +21,7 @@
 
 #include "common/flags.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "core/serialization.h"
 #include "corpus/lsh_index.h"
 #include "corpus/signature.h"
@@ -156,7 +157,12 @@ tj::Result<int> Run(const Args& args, const std::vector<std::string>& names) {
     TJ_RETURN_IF_ERROR(ReadGolden(args.golden_path, left_is_source, &pair));
   }
 
-  const JoinResult result = TransformJoin(pair, args.join);
+  // The run's one pool, shared by every phase of the join.
+  ThreadPool pool(args.threads);
+  JoinOptions join = args.join;
+  join.discovery.pool = &pool;
+  join.match_options.pool = &pool;
+  const JoinResult result = TransformJoin(pair, join);
 
   std::printf("learning pairs: %zu, discovery: %.2fs\n",
               result.learning_pairs, result.discovery_seconds);
@@ -213,8 +219,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional;
   Status parsed = table.Parse(argc, argv, &positional);
   if (parsed.ok() && positional.size() != 4) parsed = flags::Accept(false);
-  args.join.discovery.num_threads = args.threads;
-  args.join.match_options.num_threads = args.threads;
   if (parsed.ok()) parsed = ValidateOptions(args.join);
   if (parsed.ok()) parsed = ValidateOptions(args.storage);
   if (!parsed.ok()) return table.UsageError(argv[0], kSynopsis, parsed);

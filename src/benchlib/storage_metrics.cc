@@ -28,7 +28,7 @@ size_t ReportedPeakRss(const StorageMetrics& m) {
 void StorageMetrics::MeasureColumn(const Column& column) {
   const AllocCounters before = CurrentAllocCounters();
   const NgramInvertedIndex index =
-      NgramInvertedIndex::Build(column, 4, 20, /*lowercase=*/true, 1);
+      NgramInvertedIndex::Build(column, 4, 20, /*lowercase=*/true);
   const AllocCounters delta = CurrentAllocCounters() - before;
   csr.allocs += delta.allocs;
   csr.bytes += delta.bytes;

@@ -128,10 +128,6 @@ std::vector<BenchDataset> BuildSuite(const SuiteOptions& options) {
       suite.push_back(std::move(d));
     }
   }
-  for (BenchDataset& d : suite) {
-    d.discovery.num_threads = options.num_threads;
-    d.match.num_threads = options.num_threads;
-  }
   return suite;
 }
 
@@ -227,26 +223,18 @@ BenchDataset ConfigWithPool(const BenchDataset& config, ThreadPool* pool) {
   return cfg;
 }
 
-/// Per-pair fan-out shared by the three dataset runners: one chunk per
-/// pair, each writing its own slot of the result vector.
+/// Per-pair fan-out shared by the dataset runners: one shard per pair,
+/// each writing its own slot of the result vector.
 template <typename Eval, typename Fn>
 std::vector<Eval> RunPerPair(const std::vector<TablePair>& pairs,
                              ThreadPool* pool, const Fn& fn) {
   std::vector<Eval> results(pairs.size());
-  if (pool != nullptr && pool->size() > 1 && pairs.size() > 1 &&
-      !InParallelFor()) {
-    pool->ParallelFor(pairs.size(), pairs.size(),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          results[i] = fn(pairs[i]);
-                        }
-                      });
-  } else {
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      results[i] = fn(pairs[i]);
-    }
-  }
+  ParallelShards(pool, pairs.size(), pairs.size(),
+                 [&](int /*worker*/, size_t begin, size_t end) {
+                   for (size_t i = begin; i < end; ++i) {
+                     results[i] = fn(pairs[i]);
+                   }
+                 });
   return results;
 }
 

@@ -45,12 +45,11 @@ struct SuiteOptions {
   /// tables (1.0 = defaults documented in DESIGN.md; benches read
   /// TJ_BENCH_SCALE from the environment).
   double scale = 1.0;
-  /// Worker threads for discovery and row matching in every dataset
+  /// Size of the one ThreadPool a bench builds and hands to the runners
   /// (0 = hardware concurrency, 1 = the paper's serial setting; benches
-  /// read TJ_NUM_THREADS from the environment). Results are identical
-  /// across thread counts — only wall time changes; DiscoveryStats time_*
-  /// fields stay wall clock per phase (cpu_* carries worker seconds), and
-  /// a parallel TransformJoin shares one pool across its phases.
+  /// read TJ_NUM_THREADS from the environment). Results are identical for
+  /// every pool size — only wall time changes; DiscoveryStats time_* fields
+  /// stay wall clock per phase (cpu_* carries worker seconds).
   int num_threads = 1;
   bool include_webtables = true;
   bool include_spreadsheet = true;
@@ -115,12 +114,12 @@ std::vector<ExamplePair> LearningPairs(const TablePair& pair,
 
 // ---------------------------------------------------------------------------
 // Dataset-level runners: evaluate every table pair of a dataset, fanning
-// out per pair on one shared pool (one chunk per pair; each pair writes its
+// out per pair on one shared pool (one shard per pair; each pair writes its
 // own slot, so results are identical for every pool size — pair costs vary,
 // so the ticket scheduler balances). The pool is also plumbed into each
-// pair's match/discovery options: a pair evaluated inside the fan-out
-// degrades its inner phases to the serial path (InParallelFor), while a
-// single-pair dataset hands the whole pool to the inner phases instead.
+// pair's match/discovery options: a pair evaluated inside the fan-out runs
+// its inner phases serially (NumShards), while a single-pair dataset hands
+// the whole pool to the inner phases instead.
 // With pool == nullptr these are exactly the sequential per-pair loops the
 // table benches always ran. Timing fields (`seconds`, stats time_*/cpu_*)
 // vary run to run; every other field is deterministic

@@ -1,10 +1,12 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+
 namespace tj {
 namespace {
 
-/// Set while the thread runs chunks of a ParallelFor job; consulted by
-/// InParallelFor() and by the nested-call inline path.
+/// Set while the thread runs chunks of a ParallelFor job; consulted by the
+/// shard policy and by the nested-call inline path.
 thread_local bool tls_in_parallel_for = false;
 
 /// RAII flag flip, exception-safe across chunk bodies that throw.
@@ -27,7 +29,16 @@ int ResolveNumThreads(int num_threads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool InParallelFor() { return tls_in_parallel_for; }
+size_t NumShards(const ThreadPool* pool, size_t items,
+                 size_t chunks_per_worker) {
+  if (pool == nullptr || pool->size() == 1 || tls_in_parallel_for ||
+      items < 2) {
+    return 1;
+  }
+  return std::min(items,
+                  static_cast<size_t>(pool->size()) *
+                      std::max<size_t>(chunks_per_worker, 1));
+}
 
 uint64_t ThreadPool::TotalCreated() {
   return g_pools_created.load(std::memory_order_relaxed);

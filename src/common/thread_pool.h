@@ -1,7 +1,8 @@
 // ThreadPool: the parallel-execution subsystem behind the discovery
 // pipeline's hot loops (coverage, generation, index build).
 //
-// The only primitive is a chunked ParallelFor. [0, total) is split into
+// The primitive is a chunked ParallelFor; phases reach it through one shard
+// policy (NumShards / ParallelShards, below). [0, total) is split into
 // `num_chunks` contiguous, ascending ranges; chunks are handed to workers
 // through an atomic ticket counter — no work stealing and no re-splitting.
 // This gives dynamic load balancing while keeping a simple determinism
@@ -29,9 +30,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tj {
@@ -39,12 +43,6 @@ namespace tj {
 /// Resolves a thread-count knob: 0 means std::thread::hardware_concurrency
 /// (at least 1); negative values clamp to 1.
 int ResolveNumThreads(int num_threads);
-
-/// True while the calling thread is executing a ParallelFor chunk (of any
-/// pool). Parallel phases check this to fall back to their serial reference
-/// paths instead of nesting a fan-out inside a fan-out — e.g. a per-pair
-/// discovery running inside the corpus driver's pair-level ParallelFor.
-bool InParallelFor();
 
 /// Fixed-size pool of workers driving chunked parallel-for jobs. The calling
 /// thread participates as worker 0, so a pool of size N spawns N - 1
@@ -70,12 +68,10 @@ class ThreadPool {
   /// Blocks until every chunk finished; rethrows the first exception thrown
   /// by a chunk. Reusable: sequential ParallelFor calls share the workers.
   ///
-  /// Nesting: a ParallelFor issued from inside a chunk (InParallelFor() is
-  /// true) does not touch the pool's job state — it runs every chunk inline,
-  /// sequentially, as worker 0 on the calling thread. The partition is the
-  /// same, so nested callers keep the determinism contract; they just get no
-  /// extra parallelism. Phases that want to skip their merge overhead in
-  /// that situation should check InParallelFor() and take their serial path.
+  /// Nesting: a ParallelFor issued from inside a chunk does not touch the
+  /// pool's job state — it runs every chunk inline, sequentially, as worker
+  /// 0 on the calling thread. The partition is the same, so nested callers
+  /// keep the determinism contract; they just get no extra parallelism.
   void ParallelFor(size_t total, size_t num_chunks, const ChunkFn& fn);
 
   /// Number of ThreadPool instances constructed since process start.
@@ -110,27 +106,75 @@ class ThreadPool {
   std::exception_ptr first_error_;   // guarded by mu_
 };
 
-/// Borrows an externally-owned pool when one is provided, otherwise owns a
-/// freshly constructed pool of `num_threads` workers. Lets every parallel
-/// phase accept an optional shared pool (DiscoveryOptions::pool,
-/// RowMatchOptions::pool) without duplicating construction logic.
-class PoolRef {
- public:
-  PoolRef(ThreadPool* shared, int num_threads) : pool_(shared) {
-    if (pool_ == nullptr) {
-      owned_.emplace(num_threads);
-      pool_ = &*owned_;
+/// The shard policy of every sharded phase: how many contiguous shards
+/// `items` items split into on `pool`. One shard — the serial case, run
+/// inline on the caller — when `pool` is null or has one worker, when the
+/// caller already runs inside a ParallelFor chunk (no fan-out inside a
+/// fan-out: a per-pair phase inside the corpus driver's pair fan-out), or
+/// when there are fewer than 2 items. Otherwise min(items, pool size x
+/// chunks_per_worker); over-decomposing lets the ticket scheduler balance
+/// uneven shards. Pass chunks_per_worker = items for one shard per item.
+size_t NumShards(const ThreadPool* pool, size_t items,
+                 size_t chunks_per_worker);
+
+/// Splits [0, items) into NumShards(pool, items, chunks_per_worker)
+/// contiguous ascending ranges and runs fn(worker, begin, end) once per
+/// range — inline on the caller as worker 0 for one shard, on the pool
+/// otherwise. Returns fn's outputs in shard order (nothing when fn returns
+/// void), so a caller that merges them in order gets the one-shard result
+/// at every pool size.
+template <typename Fn>
+auto ParallelShards(ThreadPool* pool, size_t items, size_t chunks_per_worker,
+                    Fn&& fn) {
+  using Output = std::invoke_result_t<Fn&, int, size_t, size_t>;
+  const size_t num_shards = NumShards(pool, items, chunks_per_worker);
+  if constexpr (std::is_void_v<Output>) {
+    if (num_shards == 1) return fn(0, size_t{0}, items);
+    pool->ParallelFor(items, num_shards,
+                      [&](int worker, size_t, size_t begin, size_t end) {
+                        fn(worker, begin, end);
+                      });
+  } else {
+    std::vector<Output> outputs;
+    outputs.reserve(num_shards);
+    if (num_shards == 1) {
+      outputs.push_back(fn(0, size_t{0}, items));
+      return outputs;
     }
+    std::vector<std::optional<Output>> slots(num_shards);
+    pool->ParallelFor(
+        items, num_shards,
+        [&](int worker, size_t shard, size_t begin, size_t end) {
+          slots[shard].emplace(fn(worker, begin, end));
+        });
+    for (std::optional<Output>& slot : slots) {
+      outputs.push_back(std::move(*slot));
+    }
+    return outputs;
+  }
+}
+
+/// Scratch state a ParallelShards body reuses across the shards one worker
+/// runs (worker ids are stable while the pool lives). A slot is built on
+/// its worker's first Get, so only workers that run build one — a
+/// one-shard run builds exactly one. Must not affect output values.
+template <typename T>
+class PerWorker {
+ public:
+  explicit PerWorker(const ThreadPool* pool)
+      : slots_(pool == nullptr ? 1 : static_cast<size_t>(pool->size())) {}
+
+  template <typename... Args>
+  T& Get(int worker, Args&&... args) {
+    std::unique_ptr<T>& slot = slots_[static_cast<size_t>(worker)];
+    if (slot == nullptr) {
+      slot = std::make_unique<T>(std::forward<Args>(args)...);
+    }
+    return *slot;
   }
 
-  PoolRef(const PoolRef&) = delete;
-  PoolRef& operator=(const PoolRef&) = delete;
-
-  ThreadPool& get() { return *pool_; }
-
  private:
-  ThreadPool* pool_;
-  std::optional<ThreadPool> owned_;
+  std::vector<std::unique_ptr<T>> slots_;
 };
 
 }  // namespace tj

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -247,66 +246,47 @@ void EvaluateRowRange(const SuffixTrie& trie, const UnitInterner& interner,
   }
 }
 
-/// Builds the trie and walks it over every row, serially or row-sharded;
-/// returns the covering pairs in row-major order.
+/// Covering pairs of one row shard, with the counters its walk added.
+struct CoverageShard {
+  std::vector<CoveringPair> covering;
+  DiscoveryStats stats;
+};
+
+/// Builds the trie and walks it over every row in row shards on
+/// options.pool (one shard = the serial case); returns the covering pairs
+/// in row-major order. Shards are contiguous row ranges merged in shard
+/// order, so the list — and the CSR index built from it — is identical for
+/// every shard count. The trie is read-only and the unit cache is
+/// worker-scoped (it is large) and reset per row, so dynamic shard-to-worker
+/// assignment cannot change any result or counter.
 std::vector<CoveringPair> CoveringPairs(const TransformationStore& store,
                                         const UnitInterner& interner,
                                         const std::vector<ExamplePair>& rows,
                                         const DiscoveryOptions& options,
                                         DiscoveryStats* stats) {
   const SuffixTrie trie(store);
-  std::vector<CoveringPair> covering;
-  const int num_threads = options.pool != nullptr
-                              ? options.pool->size()
-                              : ResolveNumThreads(options.num_threads);
+  PerWorker<RowUnitCache> caches(options.pool);
+  std::vector<CoverageShard> shards = ParallelShards(
+      options.pool, rows.size(), 4,
+      [&](int worker, size_t begin, size_t end) {
+        CoverageShard shard;
+        EvaluateRowRange(
+            trie, interner, rows, begin, end, options,
+            &caches.Get(worker, interner.size(), options.enable_neg_cache),
+            &shard.covering, &shard.stats);
+        return shard;
+      });
 
-  if (num_threads == 1 || rows.size() < 2 || InParallelFor()) {
-    RowUnitCache cache(interner.size(), options.enable_neg_cache);
-    EvaluateRowRange(trie, interner, rows, 0, rows.size(), options, &cache,
-                     &covering, stats);
-    return covering;
+  // Full element-wise stats merge, so counters added to EvaluateRowRange
+  // later aggregate at every shard count. Worker wall-time fields are zero
+  // (the phase is wall-timed once by the enclosing ScopedTimer); cpu_apply
+  // sums each shard's seconds inside EvaluateRowRange.
+  for (const CoverageShard& shard : shards) *stats += shard.stats;
+  std::vector<CoveringPair> covering = std::move(shards[0].covering);
+  for (size_t s = 1; s < shards.size(); ++s) {
+    covering.insert(covering.end(), shards[s].covering.begin(),
+                    shards[s].covering.end());
   }
-  // Sharded evaluation. Chunks are contiguous row ranges merged in chunk
-  // order, so the covering list below is in the same row-major order as the
-  // serial path and the CSR index comes out bit-identical. The trie is
-  // read-only and the unit cache is worker-scoped (it is large) and reset per
-  // row, so dynamic chunk-to-worker assignment cannot change any result or
-  // counter. When no shared pool is supplied, never spawn more workers
-  // (threads + per-worker caches) than rows.
-  PoolRef pool_ref(options.pool,
-                   static_cast<int>(std::min<size_t>(
-                       static_cast<size_t>(num_threads), rows.size())));
-  ThreadPool& pool = pool_ref.get();
-  const size_t num_chunks =
-      std::min(rows.size(), static_cast<size_t>(pool.size()) * 4);
-  std::vector<std::unique_ptr<RowUnitCache>> caches(
-      static_cast<size_t>(pool.size()));
-  for (auto& cache : caches) {
-    cache = std::make_unique<RowUnitCache>(interner.size(),
-                                           options.enable_neg_cache);
-  }
-  std::vector<std::vector<CoveringPair>> chunk_covering(num_chunks);
-  std::vector<DiscoveryStats> worker_stats(static_cast<size_t>(pool.size()));
-
-  pool.ParallelFor(rows.size(), num_chunks,
-                   [&](int worker, size_t chunk, size_t begin, size_t end) {
-                     EvaluateRowRange(trie, interner, rows, begin, end,
-                                      options, caches[worker].get(),
-                                      &chunk_covering[chunk],
-                                      &worker_stats[worker]);
-                   });
-
-  size_t total_pairs = 0;
-  for (const auto& chunk : chunk_covering) total_pairs += chunk.size();
-  covering.reserve(total_pairs);
-  for (auto& chunk : chunk_covering) {
-    covering.insert(covering.end(), chunk.begin(), chunk.end());
-  }
-  // Full element-wise merge so counters added to EvaluateRowRange later keep
-  // aggregating in parallel runs too. Worker wall-time fields are zero (the
-  // phase is wall-timed once by the enclosing ScopedTimer); cpu_apply sums
-  // each worker's seconds inside EvaluateRowRange.
-  for (const DiscoveryStats& ws : worker_stats) *stats += ws;
   return covering;
 }
 

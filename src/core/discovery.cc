@@ -21,44 +21,42 @@ struct GenerationShard {
   DiscoveryStats stats;
 };
 
-/// Runs per-row generation over contiguous row shards in parallel, then
-/// merge-interns the shards in row order into `result`.
+/// Runs per-row generation over contiguous row shards on options.pool
+/// (one shard = the serial case), then merges the shards in row order into
+/// `result`. The first shard's interner and store are adopted as they are,
+/// so a one-shard run re-interns nothing; later shards are merge-interned
+/// after it.
 ///
 /// Determinism: re-interning a shard's unit table in local id order replays
 /// the units in exactly the first-encounter order a serial run would have
 /// seen for those rows, so by induction over shards the merged interner,
 /// the merged store (under both dedup settings), and every id assignment
 /// are identical to the serial path for any shard count.
-void GenerateInParallel(const std::vector<ExamplePair>& rows,
-                        const DiscoveryOptions& options, int num_threads,
-                        DiscoveryResult* result) {
-  // When no shared pool is supplied, never spawn more workers than rows.
-  PoolRef pool_ref(options.pool,
-                   static_cast<int>(std::min<size_t>(
-                       static_cast<size_t>(num_threads), rows.size())));
-  ThreadPool& pool = pool_ref.get();
+void Generate(const std::vector<ExamplePair>& rows,
+              const DiscoveryOptions& options, DiscoveryResult* result) {
   // Over-decompose so the ticket scheduler can balance rows with expensive
   // generation; the merge below is boundary-independent, so extra shards
-  // only cost re-interning each shard's (deduplicated) store once.
-  const size_t num_shards =
-      std::min(rows.size(), static_cast<size_t>(pool.size()) * 4);
-  std::vector<GenerationShard> shards(num_shards);
+  // only cost re-interning each later shard's (deduplicated) store once.
+  std::vector<GenerationShard> shards = ParallelShards(
+      options.pool, rows.size(), 4,
+      [&](int /*worker*/, size_t begin, size_t end) {
+        GenerationShard shard;
+        for (size_t row = begin; row < end; ++row) {
+          GenerateTransformationsForRow(rows[row].source, rows[row].target,
+                                        options, &shard.units, &shard.store,
+                                        &shard.stats);
+        }
+        return shard;
+      });
 
-  pool.ParallelFor(rows.size(), num_shards,
-                   [&](int /*worker*/, size_t shard, size_t begin,
-                       size_t end) {
-                     GenerationShard& s = shards[shard];
-                     for (size_t row = begin; row < end; ++row) {
-                       GenerateTransformationsForRow(
-                           rows[row].source, rows[row].target, options,
-                           &s.units, &s.store, &s.stats);
-                     }
-                   });
-
+  result->units = std::move(shards[0].units);
+  result->store = std::move(shards[0].store);
+  result->stats += shards[0].stats;
   ScopedTimer merge_timer(&result->stats.cpu_duplicate_removal);
   std::vector<UnitId> remap;
   std::vector<UnitId> mapped;
-  for (GenerationShard& shard : shards) {
+  for (size_t s = 1; s < shards.size(); ++s) {
+    GenerationShard& shard = shards[s];
     remap.resize(shard.units.size());
     for (UnitId id = 0; id < shard.units.size(); ++id) {
       remap[id] = result->units.Intern(shard.units.Get(id));
@@ -134,20 +132,9 @@ DiscoveryResult DiscoverTransformations(const std::vector<ExamplePair>& rows,
   Stopwatch total;
 
   // Phases 1-3 (per row): placeholders, skeletons, units, generation.
-  const int num_threads = options.pool != nullptr
-                              ? options.pool->size()
-                              : ResolveNumThreads(options.num_threads);
   {
     Stopwatch generation_watch;
-    if (num_threads == 1 || rows.size() < 2 || InParallelFor()) {
-      for (const ExamplePair& row : rows) {
-        GenerateTransformationsForRow(row.source, row.target, options,
-                                      &result.units, &result.store,
-                                      &result.stats);
-      }
-    } else {
-      GenerateInParallel(rows, options, num_threads, &result);
-    }
+    Generate(rows, options, &result);
     ApportionGenerationWall(generation_watch.ElapsedSeconds(), &result.stats);
   }
   result.stats.unique_transformations = result.store.size();

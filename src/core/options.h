@@ -65,21 +65,14 @@ struct DiscoveryOptions {
   /// Number of top-coverage transformations reported.
   size_t top_k = 10;
 
-  /// Worker threads for the generation and coverage phases. 0 = hardware
-  /// concurrency, 1 = the serial reference path (the paper's setting, kept
-  /// as the default so ablation timings stay comparable). Results are
-  /// bit-identical across thread counts: shards are merged in row order, so
-  /// only wall time changes. Per-phase DiscoveryStats time_* fields report
-  /// wall clock at every thread count; the cpu_* fields carry the summed
-  /// per-worker seconds. Counters stay exact.
-  int num_threads = 1;
-
-  /// Optional externally-owned worker pool shared across phases — and, at
-  /// corpus scale, across table pairs (see src/corpus/). When set it
-  /// overrides num_threads and no phase-local pool is constructed; the
-  /// caller keeps the pool alive for the duration of the call. A discovery
-  /// that itself runs inside a ParallelFor chunk of this pool degrades to
-  /// the serial reference path automatically (same results).
+  /// Optional externally-owned pool for the generation and coverage phases
+  /// — shared across phases and, at corpus scale, across table pairs (see
+  /// src/corpus/); nullptr = the serial reference path (the paper's
+  /// setting). Sharding follows NumShards, so a discovery already running
+  /// inside a chunk of the pool runs serially. Results are bit-identical
+  /// for every pool size: shards are merged in row order, so only wall time
+  /// changes. Per-phase DiscoveryStats time_* fields report wall clock; the
+  /// cpu_* fields carry the summed per-worker seconds. Counters stay exact.
   ThreadPool* pool = nullptr;
 };
 

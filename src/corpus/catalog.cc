@@ -311,6 +311,18 @@ Result<TableCatalog::CsvDirectoryReport> TableCatalog::AddCsvDirectory(
   return report;
 }
 
+template <typename Storage>
+Status TableCatalog::Remap(const Storage& storage) const {
+  if (!budget_active()) return storage.EnsureResident();
+  // Account the re-fault so the budget counter sees reads, not just
+  // registrations. Racing readers can double-count the same re-map; the
+  // drift is upward-only and resynced by the next signature pass.
+  const size_t before = storage.ResidentBytes();
+  const Status resident = storage.EnsureResident();
+  BumpResidentBytes(before, storage.ResidentBytes());
+  return resident;
+}
+
 const Table& TableCatalog::table(uint32_t t) const {
   TJ_CHECK(t < tables_.size());
   TJ_CHECK(tables_[t].live);
@@ -322,16 +334,7 @@ const Table& TableCatalog::table(uint32_t t) const {
   // heap inside Column; the residual double-failure case is surfaced by
   // ResidentTable for callers that can propagate it.
   const Table& table = *tables_[t].table;
-  if (budget_active()) {
-    // Account the re-fault so the budget counter sees reads, not just
-    // registrations. Racing readers can double-count the same re-map; the
-    // drift is upward-only and resynced by the next signature pass.
-    const size_t before = table.ResidentBytes();
-    (void)table.EnsureResident();
-    BumpResidentBytes(before, table.ResidentBytes());
-  } else {
-    (void)table.EnsureResident();
-  }
+  (void)Remap(table);
   return table;
 }
 
@@ -341,14 +344,7 @@ Result<const Table*> TableCatalog::ResidentTable(uint32_t t) const {
         StrPrintf("no live table with id %u", static_cast<unsigned>(t)));
   }
   const Table& table = *tables_[t].table;
-  if (budget_active()) {
-    const size_t before = table.ResidentBytes();
-    const Status resident = table.EnsureResident();
-    BumpResidentBytes(before, table.ResidentBytes());
-    TJ_RETURN_IF_ERROR(resident);
-  } else {
-    TJ_RETURN_IF_ERROR(table.EnsureResident());
-  }
+  TJ_RETURN_IF_ERROR(Remap(table));
   return &table;
 }
 
@@ -406,13 +402,7 @@ const Column& TableCatalog::column(ColumnRef ref) const {
   TJ_CHECK(ref.table < tables_.size());
   TJ_CHECK(tables_[ref.table].live);
   const Column& column = tables_[ref.table].table->column(ref.column);
-  if (budget_active()) {  // unconditional re-map — see table() above
-    const size_t before = column.ResidentBytes();
-    (void)column.EnsureResident();
-    BumpResidentBytes(before, column.ResidentBytes());
-  } else {
-    (void)column.EnsureResident();
-  }
+  (void)Remap(column);  // unconditional re-map — see table() above
   return column;
 }
 
@@ -428,14 +418,7 @@ Result<const Column*> TableCatalog::ResidentColumn(ColumnRef ref) const {
         static_cast<unsigned>(ref.column)));
   }
   const Column& column = owner.column(ref.column);
-  if (budget_active()) {
-    const size_t before = column.ResidentBytes();
-    const Status resident = column.EnsureResident();
-    BumpResidentBytes(before, column.ResidentBytes());
-    TJ_RETURN_IF_ERROR(resident);
-  } else {
-    TJ_RETURN_IF_ERROR(column.EnsureResident());
-  }
+  TJ_RETURN_IF_ERROR(Remap(column));
   return &column;
 }
 
@@ -464,15 +447,7 @@ size_t TableCatalog::SpilledBytes() const {
 Status TableCatalog::EnsureTableResident(uint32_t t) const {
   TJ_CHECK(t < tables_.size());
   TJ_CHECK(tables_[t].live);
-  const Table& table = *tables_[t].table;
-  if (budget_active()) {
-    const size_t before = table.ResidentBytes();
-    const Status resident = table.EnsureResident();
-    BumpResidentBytes(before, table.ResidentBytes());
-    TJ_RETURN_IF_ERROR(resident);
-  } else {
-    TJ_RETURN_IF_ERROR(table.EnsureResident());
-  }
+  TJ_RETURN_IF_ERROR(Remap(*tables_[t].table));
   tables_[t].last_touch = ++touch_clock_;
   return Status::OK();
 }
@@ -504,51 +479,36 @@ void TableCatalog::EnforceMemoryBudget(ThreadPool* pool) const {
   // Coldest-first: sort live resident spilled tables by last touch and
   // evict until the budget holds. The newest entry is spared so the table
   // being worked on is never evicted under its caller.
-  std::vector<const TableEntry*> candidates;
-  uint64_t newest = 0;
-  if (pool != nullptr && pool->size() > 1 && tables_.size() > 1 &&
-      !InParallelFor()) {
-    // Sharded candidate scan: each chunk of table slots collects its own
-    // candidate list and local newest-touch, merged in chunk order — the
-    // merged vector (and thus the eviction order after the sort) is
-    // identical to the serial scan. Probing spilled()/resident() walks
-    // every column, so at catalog scale the scan dominates enforcement
-    // when nothing needs evicting.
-    struct Shard {
-      std::vector<const TableEntry*> candidates;
-      uint64_t newest = 0;
-    };
-    const size_t num_chunks =
-        std::min(tables_.size(), static_cast<size_t>(pool->size()) * 4);
-    std::vector<Shard> shards(num_chunks);
-    pool->ParallelFor(tables_.size(), num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        Shard& shard = shards[chunk];
-                        for (size_t t = begin; t < end; ++t) {
-                          const TableEntry& entry = tables_[t];
-                          if (!entry.live) continue;
-                          shard.newest =
-                              std::max(shard.newest, entry.last_touch);
-                          if (entry.table->spilled() &&
-                              entry.table->resident()) {
-                            shard.candidates.push_back(&entry);
-                          }
-                        }
-                      });
-    for (const Shard& shard : shards) {
-      newest = std::max(newest, shard.newest);
-      candidates.insert(candidates.end(), shard.candidates.begin(),
-                        shard.candidates.end());
-    }
-  } else {
-    for (const TableEntry& entry : tables_) {
-      if (!entry.live) continue;
-      newest = std::max(newest, entry.last_touch);
-      if (entry.table->spilled() && entry.table->resident()) {
-        candidates.push_back(&entry);
-      }
-    }
+  //
+  // Sharded candidate scan on the pool: each shard of table slots collects
+  // its own candidate list and local newest-touch, merged in shard order —
+  // the merged vector (and thus the eviction order after the sort) is the
+  // same at every shard count. Probing spilled()/resident() walks every
+  // column, so at catalog scale the scan dominates enforcement when
+  // nothing needs evicting.
+  struct Shard {
+    std::vector<const TableEntry*> candidates;
+    uint64_t newest = 0;
+  };
+  std::vector<Shard> shards = ParallelShards(
+      pool, tables_.size(), 4, [&](int /*worker*/, size_t begin, size_t end) {
+        Shard shard;
+        for (size_t t = begin; t < end; ++t) {
+          const TableEntry& entry = tables_[t];
+          if (!entry.live) continue;
+          shard.newest = std::max(shard.newest, entry.last_touch);
+          if (entry.table->spilled() && entry.table->resident()) {
+            shard.candidates.push_back(&entry);
+          }
+        }
+        return shard;
+      });
+  std::vector<const TableEntry*> candidates = std::move(shards[0].candidates);
+  uint64_t newest = shards[0].newest;
+  for (size_t s = 1; s < shards.size(); ++s) {
+    newest = std::max(newest, shards[s].newest);
+    candidates.insert(candidates.end(), shards[s].candidates.begin(),
+                      shards[s].candidates.end());
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const TableEntry* a, const TableEntry* b) {
@@ -578,37 +538,26 @@ void TableCatalog::EnforceMemoryBudget(ThreadPool* pool) const {
 }
 
 void TableCatalog::ComputeSignatures(ThreadPool* pool) {
-  std::vector<ColumnRef> missing;
-  auto collect_missing = [&](size_t begin, size_t end,
-                             std::vector<ColumnRef>* out) {
-    for (size_t t = begin; t < end; ++t) {
-      if (!tables_[t].live) continue;
-      for (uint32_t c = 0; c < tables_[t].table->num_columns(); ++c) {
-        if (!tables_[t].signatures[c].has_value()) {
-          out->push_back(ColumnRef{static_cast<uint32_t>(t), c});
+  // Sharded collection: per-shard vectors merged in shard order are the
+  // slot-order list a serial loop builds, so the compute fan-out below sees
+  // the same work list for every pool size. A no-op pass over a
+  // million-table catalog is this scan — worth fanning out on its own.
+  std::vector<std::vector<ColumnRef>> shards = ParallelShards(
+      pool, tables_.size(), 4, [&](int /*worker*/, size_t begin, size_t end) {
+        std::vector<ColumnRef> shard;
+        for (size_t t = begin; t < end; ++t) {
+          if (!tables_[t].live) continue;
+          for (uint32_t c = 0; c < tables_[t].table->num_columns(); ++c) {
+            if (!tables_[t].signatures[c].has_value()) {
+              shard.push_back(ColumnRef{static_cast<uint32_t>(t), c});
+            }
+          }
         }
-      }
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && tables_.size() > 1 &&
-      !InParallelFor()) {
-    // Sharded collection: per-chunk vectors merged in chunk order are the
-    // slot-order list the serial loop builds, so the compute fan-out below
-    // sees an identical work list for every pool size. A no-op pass over a
-    // million-table catalog is this scan — worth fanning out on its own.
-    const size_t num_chunks =
-        std::min(tables_.size(), static_cast<size_t>(pool->size()) * 4);
-    std::vector<std::vector<ColumnRef>> shards(num_chunks);
-    pool->ParallelFor(tables_.size(), num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        collect_missing(begin, end, &shards[chunk]);
-                      });
-    for (std::vector<ColumnRef>& shard : shards) {
-      missing.insert(missing.end(), shard.begin(), shard.end());
-    }
-  } else {
-    collect_missing(0, tables_.size(), &missing);
+        return shard;
+      });
+  std::vector<ColumnRef> missing = std::move(shards[0]);
+  for (size_t s = 1; s < shards.size(); ++s) {
+    missing.insert(missing.end(), shards[s].begin(), shards[s].end());
   }
   if (missing.empty()) return;
 
@@ -630,22 +579,12 @@ void TableCatalog::ComputeSignatures(ThreadPool* pool) {
     tables_[ref.table].signatures[ref.column] =
         ComputeColumnSignature(**resident, options_);
   };
-  if (pool != nullptr && pool->size() > 1 && missing.size() > 1 &&
-      !InParallelFor()) {
-    // Each column writes its own slot, so any chunking is deterministic;
-    // over-decompose to balance uneven column sizes.
-    pool->ParallelFor(missing.size(),
-                      std::min(missing.size(),
-                               static_cast<size_t>(pool->size()) * 4),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          compute(missing[i]);
-                        }
-                      });
-  } else {
-    for (ColumnRef ref : missing) compute(ref);
-  }
+  // Each column writes its own slot, so any sharding is deterministic;
+  // over-decompose to balance uneven column sizes.
+  ParallelShards(pool, missing.size(), 4,
+                 [&](int /*worker*/, size_t begin, size_t end) {
+                   for (size_t i = begin; i < end; ++i) compute(missing[i]);
+                 });
   // The sketch pass streams spilled columns block-wise, but re-mapped
   // tables may now exceed the budget again; settle it before returning.
   // This is also the counter's resync point: the exact scan here folds in

@@ -336,6 +336,10 @@ class TableCatalog : public CorpusColumnSource {
   bool budget_active() const {
     return storage_.spill_enabled() && storage_.memory_budget_bytes != 0;
   }
+  /// Re-maps `storage` (a Table or Column) and, under a budget, credits
+  /// what came back to the running counter.
+  template <typename Storage>
+  Status Remap(const Storage& storage) const;
   /// Adds a (possibly negative) delta to the running counter, clamped at 0.
   void BumpResidentBytes(size_t before, size_t after) const;
   /// Resets the counter to the exact scan (serial contexts only).

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "common/strings.h"
@@ -14,9 +15,9 @@ namespace tj {
 namespace {
 
 /// Runs the per-pair engine on one shortlisted candidate. Executed either
-/// inside the pair-level ParallelFor (where the shared pool degrades every
-/// inner phase to its serial path) or inline when the shortlist has a
-/// single pair (where the inner phases get the whole pool).
+/// inside the pair-level ParallelFor (where every inner phase runs as one
+/// shard, see NumShards) or inline when the shortlist has a single pair
+/// (where the inner phases get the whole pool).
 CorpusPairResult EvaluatePair(const CorpusColumnSource& source,
                               const ColumnPairCandidate& candidate,
                               const JoinOptions& join_options,
@@ -189,9 +190,9 @@ CorpusDiscoveryResult DiscoverJoinableColumns(
 CorpusDiscoveryResult EvaluateShortlist(const CorpusColumnSource& source,
                                         const PairPrunerResult& shortlist,
                                         const CorpusDiscoveryOptions& options,
-                                        ThreadPool* shared_pool) {
-  PoolRef pool_ref(shared_pool, options.num_threads);
-  ThreadPool* pool = &pool_ref.get();
+                                        ThreadPool* pool) {
+  std::optional<ThreadPool> owned;
+  if (pool == nullptr) pool = &owned.emplace(options.num_threads);
   CorpusDiscoveryResult result;
   result.total_column_pairs = shortlist.total_pairs;
   result.pruned_pairs = shortlist.pruned_pairs;
@@ -255,9 +256,9 @@ CorpusPairResult EvaluateCandidate(const CorpusColumnSource& source,
                                    const CorpusDiscoveryOptions& options,
                                    ThreadPool* pool,
                                    bool use_orientation_hint) {
-  PoolRef pool_ref(pool, options.num_threads);
-  return EvaluatePair(source, candidate,
-                      PairJoinOptions(options, &pool_ref.get()),
+  std::optional<ThreadPool> owned;
+  if (pool == nullptr) pool = &owned.emplace(options.num_threads);
+  return EvaluatePair(source, candidate, PairJoinOptions(options, pool),
                       use_orientation_hint);
 }
 

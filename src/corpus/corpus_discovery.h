@@ -5,14 +5,15 @@
 // the full per-pair pipeline (FindJoinablePairs + transformation discovery
 // + equi-join) over the shortlist with a pair-level ParallelFor.
 //
-// Threading contract: the run constructs exactly ONE ThreadPool and shares
-// it everywhere — signature computation, pair scoring, and the pair-level
+// Threading contract: the run constructs exactly ONE ThreadPool (of
+// num_threads workers, unless the caller passes one) and shares it
+// everywhere — signature computation, pair scoring, and the pair-level
 // fan-out; the same pool is also handed down through DiscoveryOptions::pool
-// and RowMatchOptions::pool, so per-pair phases never spawn pools of their
-// own (a pair executing inside the fan-out falls back to its serial path,
-// which is exactly what pair-level parallelism wants). Per-pair results are
-// written into shortlist-order slots, so the output is bit-identical for
-// every num_threads value.
+// and RowMatchOptions::pool. No phase below this driver constructs a pool,
+// and a pair executing inside the fan-out runs its phases as one shard
+// each (NumShards), which is exactly what pair-level parallelism wants.
+// Per-pair results are written into shortlist-order slots, so the output is
+// bit-identical for every pool size.
 
 #ifndef TJ_CORPUS_CORPUS_DISCOVERY_H_
 #define TJ_CORPUS_CORPUS_DISCOVERY_H_
@@ -34,12 +35,13 @@ struct CorpusDiscoveryOptions {
   PairPrunerOptions pruner;
 
   /// Per-pair engine configuration (matching, discovery, join support).
-  /// The pool and thread fields inside are overridden by the shared pool;
-  /// everything else applies per pair.
+  /// The pool fields inside are overridden by the run's pool; everything
+  /// else applies per pair.
   JoinOptions join;
 
-  /// Pair-level worker threads (0 = hardware concurrency). Results are
-  /// identical for every value; only wall time changes.
+  /// Workers of the run's pool when the caller passes none (0 = hardware
+  /// concurrency). Results are identical for every value; only wall time
+  /// changes.
   int num_threads = 1;
 
   /// Shortlisted pairs with fewer candidate learning pairs than this stop

@@ -81,48 +81,35 @@ PairPrunerResult ShortlistPairs(const TableCatalog& catalog,
   const size_t n = columns.size();
   if (n < 2) return PairPrunerResult();
 
-  // Evaluates all pairs (columns[i], columns[j]) for i in [begin, end),
-  // j > i — cross-table only — appending survivors in catalog order.
-  auto scan_rows = [&](size_t begin, size_t end, ChunkOutput* out) {
-    ColumnPairCandidate candidate;
-    for (size_t i = begin; i < end; ++i) {
-      const ColumnRef a = columns[i];
-      for (size_t j = i + 1; j < n; ++j) {
-        const ColumnRef b = columns[j];
-        if (a.table == b.table) continue;  // self-joins are out of scope
-        ++out->considered;
-        if (ScoreColumnPair(catalog, a, b, options, &candidate)) {
-          out->survivors.push_back(candidate);
+  // Shards of the triangle's rows: shard [begin, end) evaluates all pairs
+  // (columns[i], columns[j]) for i in [begin, end), j > i — cross-table
+  // only — keeping survivors in catalog order. Row i carries n - i - 1
+  // pairs, so over-decompose heavily and let the ticket scheduler balance;
+  // shards are merged in shard order, keeping the pre-sort survivor order
+  // (and thus the final ranking) the same at every shard count.
+  std::vector<ChunkOutput> shards = ParallelShards(
+      pool, n, 8, [&](int /*worker*/, size_t begin, size_t end) {
+        ChunkOutput out;
+        ColumnPairCandidate candidate;
+        for (size_t i = begin; i < end; ++i) {
+          const ColumnRef a = columns[i];
+          for (size_t j = i + 1; j < n; ++j) {
+            const ColumnRef b = columns[j];
+            if (a.table == b.table) continue;  // self-joins are out of scope
+            ++out.considered;
+            if (ScoreColumnPair(catalog, a, b, options, &candidate)) {
+              out.survivors.push_back(candidate);
+            }
+          }
         }
-      }
-    }
-  };
-
-  std::vector<ColumnPairCandidate> survivors;
-  size_t considered = 0;
-  if (pool != nullptr && pool->size() > 1 && !InParallelFor()) {
-    // Parallel over the triangle's rows. Row i carries n - i - 1 pairs, so
-    // over-decompose heavily and let the ticket scheduler balance; chunks
-    // are merged in chunk order, keeping the pre-sort survivor order (and
-    // thus the final ranking) identical to the serial scan.
-    const size_t num_chunks =
-        std::min(n, static_cast<size_t>(pool->size()) * 8);
-    std::vector<ChunkOutput> chunks(num_chunks);
-    pool->ParallelFor(n, num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        scan_rows(begin, end, &chunks[chunk]);
-                      });
-    for (ChunkOutput& chunk : chunks) {
-      survivors.insert(survivors.end(), chunk.survivors.begin(),
-                       chunk.survivors.end());
-      considered += chunk.considered;
-    }
-  } else {
-    ChunkOutput out;
-    scan_rows(0, n, &out);
-    survivors = std::move(out.survivors);
-    considered = out.considered;
+        return out;
+      });
+  std::vector<ColumnPairCandidate> survivors = std::move(shards[0].survivors);
+  size_t considered = shards[0].considered;
+  for (size_t s = 1; s < shards.size(); ++s) {
+    survivors.insert(survivors.end(), shards[s].survivors.begin(),
+                     shards[s].survivors.end());
+    considered += shards[s].considered;
   }
 
   return FinalizeShortlist(std::move(survivors), considered, options);
@@ -185,33 +172,23 @@ void IncrementalPairPruner::FoldIn(const TableCatalog& catalog,
     }
   }
 
-  // Exact-score only the colliding pairs. Parallel chunks write their own
-  // survivor buffers; the caller sorts, so scheduling never shows.
+  // Exact-score only the colliding pairs. Shards keep their own survivor
+  // buffers; the caller sorts, so scheduling never shows.
   const size_t n = collisions.size();
-  auto score_range = [&](size_t begin, size_t end,
-                         std::vector<ColumnPairCandidate>* survivors) {
-    ColumnPairCandidate candidate;
-    for (size_t i = begin; i < end; ++i) {
-      if (ScoreColumnPair(catalog, collisions[i].first, collisions[i].second,
-                          options_, &candidate)) {
-        survivors->push_back(candidate);
-      }
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && n > 1 && !InParallelFor()) {
-    const size_t num_chunks =
-        std::min(n, static_cast<size_t>(pool->size()) * 4);
-    std::vector<std::vector<ColumnPairCandidate>> chunks(num_chunks);
-    pool->ParallelFor(n, num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        score_range(begin, end, &chunks[chunk]);
-                      });
-    for (const std::vector<ColumnPairCandidate>& chunk : chunks) {
-      out->insert(out->end(), chunk.begin(), chunk.end());
-    }
-  } else {
-    score_range(0, n, out);
+  const std::vector<std::vector<ColumnPairCandidate>> shards = ParallelShards(
+      pool, n, 4, [&](int /*worker*/, size_t begin, size_t end) {
+        std::vector<ColumnPairCandidate> survivors;
+        ColumnPairCandidate candidate;
+        for (size_t i = begin; i < end; ++i) {
+          if (ScoreColumnPair(catalog, collisions[i].first,
+                              collisions[i].second, options_, &candidate)) {
+            survivors.push_back(candidate);
+          }
+        }
+        return survivors;
+      });
+  for (const std::vector<ColumnPairCandidate>& shard : shards) {
+    out->insert(out->end(), shard.begin(), shard.end());
   }
 
   for (uint32_t cn = 0; cn < num_new_columns; ++cn) {

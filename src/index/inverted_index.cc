@@ -134,18 +134,6 @@ void IndexRowRange(const Column& column, size_t begin, size_t end, size_t n0,
 
 NgramInvertedIndex NgramInvertedIndex::Build(const Column& column, size_t n0,
                                              size_t nmax, bool lowercase,
-                                             int num_threads) {
-  const int resolved = ResolveNumThreads(num_threads);
-  if (resolved == 1 || column.size() < 2 || InParallelFor()) {
-    return Build(column, n0, nmax, lowercase, static_cast<ThreadPool*>(nullptr));
-  }
-  ThreadPool pool(static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(resolved), column.size())));
-  return Build(column, n0, nmax, lowercase, &pool);
-}
-
-NgramInvertedIndex NgramInvertedIndex::Build(const Column& column, size_t n0,
-                                             size_t nmax, bool lowercase,
                                              ThreadPool* pool) {
   NgramInvertedIndex index;
   index.num_rows_ = column.size();
@@ -156,22 +144,14 @@ NgramInvertedIndex NgramInvertedIndex::Build(const Column& column, size_t n0,
   // sight, so the merged gram-id order equals the serial global first-seen
   // order and the merged posting lists stay ascending and deduplicated —
   // the four flat buffers are bit-identical for every shard count.
-  const bool parallel = pool != nullptr && pool->size() > 1 &&
-                        column.size() >= 2 && !InParallelFor();
-  const size_t num_shards =
-      parallel ? std::min(column.size(), static_cast<size_t>(pool->size()))
-               : 1;
-  std::vector<ShardBuild> shards(num_shards);
-  if (parallel) {
-    pool->ParallelFor(column.size(), num_shards,
-                      [&](int /*worker*/, size_t shard, size_t begin,
-                          size_t end) {
-                        IndexRowRange(column, begin, end, n0, nmax, lowercase,
-                                      &shards[shard]);
-                      });
-  } else {
-    IndexRowRange(column, 0, column.size(), n0, nmax, lowercase, &shards[0]);
-  }
+  std::vector<ShardBuild> shards = ParallelShards(
+      pool, column.size(), 1,
+      [&](int /*worker*/, size_t begin, size_t end) {
+        ShardBuild shard;
+        IndexRowRange(column, begin, end, n0, nmax, lowercase, &shard);
+        return shard;
+      });
+  const size_t num_shards = shards.size();
 
   // Global gram ids + per-gram posting counts. The single-shard case adopts
   // the shard's dictionary wholesale (remap is the identity).

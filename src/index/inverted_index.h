@@ -47,18 +47,11 @@ class NgramInvertedIndex {
   /// When `lowercase` is set, rows are ASCII-lowercased before indexing
   /// (queries must then be lowercased by the caller too).
   ///
-  /// num_threads: 0 = hardware concurrency, 1 = serial. Postings are built
-  /// over contiguous row shards and merged in row order, so the index —
-  /// including gram-id assignment — is identical for every thread count.
+  /// Postings are built over contiguous row shards on `pool` (nullptr =
+  /// serial; see NumShards) and merged in row order, so the index —
+  /// including gram-id assignment — is identical for every pool size.
   static NgramInvertedIndex Build(const Column& column, size_t n0, size_t nmax,
-                                  bool lowercase, int num_threads = 1);
-
-  /// Same build on an externally-owned pool (nullptr = serial). Used when
-  /// one pool is shared across phases or table pairs; constructs no pool of
-  /// its own. Falls back to the serial build when called from inside a
-  /// ParallelFor chunk. Identical index either way.
-  static NgramInvertedIndex Build(const Column& column, size_t n0, size_t nmax,
-                                  bool lowercase, ThreadPool* pool);
+                                  bool lowercase, ThreadPool* pool = nullptr);
 
   /// Rows containing the n-gram, ascending and deduplicated; empty span for
   /// unseen n-grams. The span points into the index's posting buffer and is

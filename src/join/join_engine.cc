@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string_view>
 #include <unordered_map>
 
 #include "common/hash.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/example.h"
 
@@ -46,47 +44,29 @@ JoinResult TransformJoinColumns(const Column& source, const Column& target,
                                 const JoinOptions& options) {
   JoinResult result;
 
-  // One pool for every phase of this pair. When the caller already supplied
-  // a pool (corpus driver) or everything is serial, construct none. A phase
-  // whose num_threads resolves to 1 keeps its serial reference path (the
-  // pool is not installed on it); phases that asked for parallelism share
-  // one pool sized by the larger request.
-  JoinOptions local = options;
-  std::optional<ThreadPool> shared;
-  if (local.discovery.pool == nullptr && local.match_options.pool == nullptr &&
-      !InParallelFor()) {
-    const int discovery_threads = ResolveNumThreads(local.discovery.num_threads);
-    const int match_threads = ResolveNumThreads(local.match_options.num_threads);
-    if (std::max(discovery_threads, match_threads) > 1) {
-      shared.emplace(std::max(discovery_threads, match_threads));
-      if (discovery_threads > 1) local.discovery.pool = &*shared;
-      if (match_threads > 1) local.match_options.pool = &*shared;
-    }
-  }
-
   // Step 1: candidate row pairs for learning.
   std::vector<RowPair> candidates;
-  if (local.matching == MatchingMode::kGolden) {
+  if (options.matching == MatchingMode::kGolden) {
     if (golden != nullptr) candidates = golden->pairs();
   } else {
     candidates =
-        FindJoinablePairs(source, target, local.match_options).pairs;
+        FindJoinablePairs(source, target, options.match_options).pairs;
   }
   candidates =
-      SamplePairs(candidates, local.sample_pairs, local.sample_seed);
+      SamplePairs(candidates, options.sample_pairs, options.sample_seed);
   result.learning_pairs = candidates.size();
-  if (candidates.size() < local.min_learning_pairs) return result;
+  if (candidates.size() < options.min_learning_pairs) return result;
 
   // Step 2: discover transformations on the learning pairs.
   const std::vector<ExamplePair> examples =
       MakeExamplePairs(source, target, candidates);
   Stopwatch discovery_watch;
-  result.discovery = DiscoverTransformations(examples, local.discovery);
+  result.discovery = DiscoverTransformations(examples, options.discovery);
   result.discovery_seconds = discovery_watch.ElapsedSeconds();
 
   // Step 3: keep covering-set transformations above the join support.
   const auto min_support = static_cast<uint32_t>(std::ceil(
-      local.min_join_support * static_cast<double>(examples.size())));
+      options.min_join_support * static_cast<double>(examples.size())));
   std::vector<TransformationId> applied;
   for (const RankedTransformation& ranked : result.discovery.cover.selected) {
     if (ranked.coverage >= min_support && ranked.coverage >= 1) {

@@ -60,11 +60,8 @@ struct JoinResult {
 /// Runs the full pipeline on a benchmark table pair and evaluates against
 /// its golden matching.
 ///
-/// Threading: when either options.discovery or options.match_options
-/// resolves to more than one thread and neither carries an external pool,
-/// ONE ThreadPool is constructed here and shared by every phase (index
-/// builds, row scan, generation, coverage) instead of each phase spawning
-/// its own short-lived pool.
+/// Threading: the phases run on the pools in options.match_options and
+/// options.discovery (nullptr = serial); no pool is constructed here.
 JoinResult TransformJoin(const TablePair& pair, const JoinOptions& options);
 
 /// Column-level entry point used by the corpus driver (src/corpus/), where

@@ -131,33 +131,16 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
     }
   }
 
-  // One pool serves both index builds and the row scan (previously each
-  // index build spun up its own). Serial when a shared pool was not given
-  // and num_threads resolves to 1, or when this call itself runs inside a
-  // ParallelFor chunk (corpus pair-level fan-out).
-  const int threads = options.pool != nullptr
-                          ? options.pool->size()
-                          : ResolveNumThreads(options.num_threads);
-  // Either column large enough to shard justifies the pool: a one-row
-  // source column must not serialize the target's index build.
-  const bool parallel = threads > 1 &&
-                        (source.size() >= 2 || target.size() >= 2) &&
-                        !InParallelFor();
-  std::optional<PoolRef> pool_ref;
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool_ref.emplace(options.pool, threads);
-    pool = &pool_ref->get();
-  }
-
   // Cross-pair memoization: with an engaged key the index comes from (or
   // lands in) options.index_cache — shared across every pair and served
   // query touching this column. Cached or not, both sides hold a
   // shared_ptr for the scope, so an eviction mid-scan cannot free them.
   const std::shared_ptr<const NgramInvertedIndex> source_index_ptr =
-      AcquireScanIndex(*scan_source, options, options.source_cache_key, pool);
+      AcquireScanIndex(*scan_source, options, options.source_cache_key,
+                       options.pool);
   const std::shared_ptr<const NgramInvertedIndex> target_index_ptr =
-      AcquireScanIndex(*scan_target, options, options.target_cache_key, pool);
+      AcquireScanIndex(*scan_target, options, options.target_cache_key,
+                       options.pool);
   const NgramInvertedIndex& source_index = *source_index_ptr;
   const NgramInvertedIndex& target_index = *target_index_ptr;
 
@@ -182,67 +165,64 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
       });
 
   // Row scan. The expensive part — finding each row's representative grams —
-  // is embarrassingly parallel; the cheap budget/dedup bookkeeping below is
-  // a serial merge in row order, so the emitted pair list (including where
-  // a max_pairs budget cuts it off) is identical to the serial scan. The
-  // parallel path computes every row's occurrences even when a budget stops
-  // the merge early; callers that cap aggressively on huge inputs should
-  // prefer one thread for the scan.
-  std::vector<std::vector<uint32_t>> per_row;
-  if (parallel) {
-    per_row.resize(source.size());
-    pool->ParallelFor(source.size(),
-                      static_cast<size_t>(pool->size()) * 4,
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t row = begin; row < end; ++row) {
-                          CollectRowOccurrences(
-                              *scan_source, static_cast<uint32_t>(row),
-                              target_index, rscore, options, &per_row[row]);
-                        }
-                      });
-  }
+  // is embarrassingly parallel: row shards on options.pool (one shard = the
+  // serial case) collect their rows' raw occurrences into one flat buffer
+  // with per-row end offsets. The cheap budget/dedup bookkeeping below is a
+  // serial merge in row order, so the emitted pair list (including where a
+  // max_pairs budget cuts it off) is identical at every shard count. Every
+  // row's occurrences are computed even when a budget stops the merge early.
+  struct ScanShard {
+    std::vector<uint32_t> occurrences;
+    std::vector<size_t> row_end;  // per row: end offset into occurrences
+  };
+  const std::vector<ScanShard> shards = ParallelShards(
+      options.pool, source.size(), 4,
+      [&](int /*worker*/, size_t begin, size_t end) {
+        ScanShard shard;
+        shard.row_end.reserve(end - begin);
+        for (size_t row = begin; row < end; ++row) {
+          CollectRowOccurrences(*scan_source, static_cast<uint32_t>(row),
+                                target_index, rscore, options,
+                                &shard.occurrences);
+          shard.row_end.push_back(shard.occurrences.size());
+        }
+        return shard;
+      });
 
   // Merge in row order, replaying the serial scan's emission semantics:
   // budget check before every raw occurrence (duplicates included), per-row
   // dedup (cross-row duplicates are impossible — the source row is part of
   // the pair), rows never scanned after exhaustion are not counted as
   // unmatched.
-  std::vector<uint32_t> occurrences;
+  //
   // Per-row dedup through a row-stamped flat table instead of a hashed
   // set: one uint32 slot per target row, "cleared" by the advancing stamp,
   // so the merge's inner loop does no hashing, no allocation, and no
   // per-row clear. Stamps are row+1 so row 0 differs from the
-  // zero-initialized slots. Emission order (and where a max_pairs budget
-  // cuts it) is unchanged.
+  // zero-initialized slots.
   std::vector<uint32_t> seen_stamp(scan_target->size(), 0);
-  bool budget_exhausted = false;
-  for (uint32_t row = 0; row < source.size() && !budget_exhausted; ++row) {
-    const std::vector<uint32_t>* row_occurrences;
-    if (parallel) {
-      row_occurrences = &per_row[row];
-    } else {
-      occurrences.clear();
-      CollectRowOccurrences(*scan_source, row, target_index, rscore, options,
-                            &occurrences);
-      row_occurrences = &occurrences;
-    }
-    bool any = false;
-    const uint32_t stamp = row + 1;
-    for (uint32_t target_row : *row_occurrences) {
-      if (options.max_pairs != 0 &&
-          result.pairs.size() >= options.max_pairs) {
-        budget_exhausted = true;
-        break;
+  uint32_t row = 0;
+  for (const ScanShard& shard : shards) {
+    size_t begin = 0;
+    for (const size_t end : shard.row_end) {
+      bool any = false;
+      const uint32_t stamp = row + 1;
+      for (size_t i = begin; i < end; ++i) {
+        if (options.max_pairs != 0 &&
+            result.pairs.size() >= options.max_pairs) {
+          return result;  // budget exhausted
+        }
+        const uint32_t target_row = shard.occurrences[i];
+        if (seen_stamp[target_row] != stamp) {
+          seen_stamp[target_row] = stamp;
+          result.pairs.push_back(RowPair{row, target_row});
+          any = true;
+        }
       }
-      if (seen_stamp[target_row] != stamp) {
-        seen_stamp[target_row] = stamp;
-        result.pairs.push_back(RowPair{row, target_row});
-        any = true;
-      }
+      if (!any) ++result.unmatched_source_rows;
+      begin = end;
+      ++row;
     }
-    if (budget_exhausted) break;
-    if (!any) ++result.unmatched_source_rows;
   }
   return result;
 }

@@ -34,16 +34,12 @@ struct RowMatchOptions {
   /// budget is exhausted the scan stops entirely; rows never scanned are not
   /// counted as unmatched.
   size_t max_pairs = 0;
-  /// Worker threads for building the two n-gram inverted indexes and for
-  /// the representative-gram row scan (0 = hardware concurrency, 1 =
-  /// serial). Index content and the emitted pairs — including the
-  /// max_pairs-capped emission order — are identical across thread counts.
-  int num_threads = 1;
-
-  /// Optional externally-owned pool shared by the index builds and the row
-  /// scan (and across pairs at corpus scale). Overrides num_threads when
-  /// set; a call already running inside a chunk of this pool falls back to
-  /// the serial scan with identical results.
+  /// Optional externally-owned pool for the two index builds and the
+  /// representative-gram row scan (and, at corpus scale, across pairs);
+  /// nullptr = serial. Sharding follows NumShards, so a call already running
+  /// inside a chunk of the pool scans serially. Index content and the
+  /// emitted pairs — including the max_pairs-capped emission order — are
+  /// identical for every pool size.
   ThreadPool* pool = nullptr;
 
   /// Optional externally-owned cross-pair index cache (index/index_cache.h).

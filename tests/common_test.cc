@@ -144,6 +144,16 @@ TEST(Status, AssignOrReturnWorksWithMoveOnlyValues) {
   EXPECT_EQ(Unbox(-1).status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(Status, DerefOfRvalueResultMoves) {
+  // *std::move(r) must move the value out: a copying dereference does not
+  // compile for a move-only T, and would copy a whole table for Result<Table>.
+  Result<std::unique_ptr<int>> result = std::make_unique<int>(7);
+  const std::unique_ptr<int> taken = *std::move(result);
+  ASSERT_NE(taken, nullptr);
+  EXPECT_EQ(*taken, 7);
+  EXPECT_EQ(result.value(), nullptr);  // NOLINT(bugprone-use-after-move)
+}
+
 TEST(Hash, Mix64IsDeterministicAndSpreads) {
   EXPECT_EQ(Mix64(123), Mix64(123));
   EXPECT_NE(Mix64(123), Mix64(124));

@@ -311,7 +311,6 @@ TEST(CoverageTrie, MatchesScanOracleAtEveryThreadCount) {
       for (ThreadPool* pool : pools) {
         DiscoveryOptions options;
         options.enable_neg_cache = neg_cache;
-        options.num_threads = 1;
         options.pool = pool;
         DiscoveryStats stats;
         const CoverageIndex index =

@@ -1,6 +1,6 @@
 // Determinism tests for the parallel discovery pipeline: every phase must
-// produce results bit-identical to the serial reference path for any thread
-// count (the subsystem's merge-in-row-order contract).
+// produce results bit-identical to the serial reference path (no pool) for
+// any pool size (the subsystem's merge-in-row-order contract).
 
 #include <gtest/gtest.h>
 
@@ -71,14 +71,13 @@ void ExpectIdenticalCounters(const DiscoveryStats& a,
 TEST(ParallelCoverage, BitIdenticalCsrAcrossThreadCounts) {
   const auto holder = SynthRows(48, 11);
   const std::vector<ExamplePair>& rows = holder.rows;
-  DiscoveryOptions serial;
-  serial.num_threads = 1;
-  const DiscoveryResult base = DiscoverTransformations(rows, serial);
+  const DiscoveryResult base = DiscoverTransformations(rows, DiscoveryOptions());
   ASSERT_GT(base.store.size(), 0u);
 
   for (int threads : {2, 3, 8}) {
+    ThreadPool pool(threads);
     DiscoveryOptions options;
-    options.num_threads = threads;
+    options.pool = &pool;
     DiscoveryStats stats;
     const CoverageIndex index =
         ComputeCoverage(base.store, base.units, rows, options, &stats);
@@ -94,12 +93,12 @@ TEST(ParallelCoverage, NegCacheAblationAlsoIdentical) {
   const auto holder = SynthRows(24, 7);
   const std::vector<ExamplePair>& rows = holder.rows;
   DiscoveryOptions serial;
-  serial.num_threads = 1;
   serial.enable_neg_cache = false;
   const DiscoveryResult base = DiscoverTransformations(rows, serial);
 
+  ThreadPool pool(8);
   DiscoveryOptions parallel = serial;
-  parallel.num_threads = 8;
+  parallel.pool = &pool;
   DiscoveryStats stats;
   const CoverageIndex index =
       ComputeCoverage(base.store, base.units, rows, parallel, &stats);
@@ -111,15 +110,14 @@ TEST(ParallelCoverage, NegCacheAblationAlsoIdentical) {
 TEST(ParallelDiscovery, EndToEndIdenticalAcrossThreadCounts) {
   const auto holder = SynthRows(48, 42);
   const std::vector<ExamplePair>& rows = holder.rows;
-  DiscoveryOptions serial;
-  serial.num_threads = 1;
-  const DiscoveryResult base = DiscoverTransformations(rows, serial);
+  const DiscoveryResult base = DiscoverTransformations(rows, DiscoveryOptions());
   ASSERT_GT(base.store.size(), 0u);
   ASSERT_FALSE(base.cover.selected.empty());
 
   for (int threads : {2, 8}) {
+    ThreadPool pool(threads);
     DiscoveryOptions options;
-    options.num_threads = threads;
+    options.pool = &pool;
     const DiscoveryResult result = DiscoverTransformations(rows, options);
 
     // Stores: same transformations with the same ids (same intern order).
@@ -156,12 +154,12 @@ TEST(ParallelDiscovery, NoDedupAblationIdentical) {
   const auto holder = SynthRows(12, 3);
   const std::vector<ExamplePair>& rows = holder.rows;
   DiscoveryOptions serial;
-  serial.num_threads = 1;
   serial.enable_dedup = false;
   const DiscoveryResult base = DiscoverTransformations(rows, serial);
 
+  ThreadPool pool(4);
   DiscoveryOptions parallel = serial;
-  parallel.num_threads = 4;
+  parallel.pool = &pool;
   const DiscoveryResult result = DiscoverTransformations(rows, parallel);
   ASSERT_EQ(result.store.size(), base.store.size());
   EXPECT_EQ(result.stats.generated_transformations,
@@ -174,11 +172,10 @@ TEST(ParallelDiscovery, NoDedupAblationIdentical) {
 TEST(ParallelDiscovery, ZeroMeansHardwareConcurrency) {
   const auto holder = SynthRows(16, 5);
   const std::vector<ExamplePair>& rows = holder.rows;
-  DiscoveryOptions serial;
-  serial.num_threads = 1;
+  ThreadPool pool(0);  // hardware concurrency
   DiscoveryOptions hw;
-  hw.num_threads = 0;
-  const DiscoveryResult a = DiscoverTransformations(rows, serial);
+  hw.pool = &pool;
+  const DiscoveryResult a = DiscoverTransformations(rows, DiscoveryOptions());
   const DiscoveryResult b = DiscoverTransformations(rows, hw);
   ASSERT_EQ(a.store.size(), b.store.size());
   ExpectIdenticalCoverage(a.coverage, b.coverage);
@@ -193,8 +190,9 @@ TEST(DiscoveryStatsTimes, WallClockPhasesAndCpuCounters) {
   const auto holder = SynthRows(48, 13);
   const std::vector<ExamplePair>& rows = holder.rows;
   for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
     DiscoveryOptions options;
-    options.num_threads = threads;
+    options.pool = &pool;
     const DiscoveryResult result = DiscoverTransformations(rows, options);
     const DiscoveryStats& s = result.stats;
 
@@ -223,11 +221,12 @@ TEST(ParallelIndexBuild, IdenticalPostingsAcrossThreadCounts) {
   const SynthDataset ds = GenerateSynth(SynthN(60, 19));
   const Column& column = ds.pair.SourceColumn();
   const NgramInvertedIndex serial =
-      NgramInvertedIndex::Build(column, 4, 20, true, 1);
+      NgramInvertedIndex::Build(column, 4, 20, true);
 
   for (int threads : {2, 8}) {
+    ThreadPool pool(threads);
     const NgramInvertedIndex parallel =
-        NgramInvertedIndex::Build(column, 4, 20, true, threads);
+        NgramInvertedIndex::Build(column, 4, 20, true, &pool);
     ASSERT_EQ(parallel.num_rows(), serial.num_rows());
     ASSERT_EQ(parallel.num_grams(), serial.num_grams()) << threads;
     ASSERT_EQ(parallel.TotalPostings(), serial.TotalPostings()) << threads;
@@ -284,7 +283,7 @@ TEST(ParallelIndexBuild, CsrMatchesMapReferenceBuilder) {
   const Column& column = ds.pair.SourceColumn();
   for (const bool lowercase : {false, true}) {
     const NgramInvertedIndex index =
-        NgramInvertedIndex::Build(column, 4, 12, lowercase, 1);
+        NgramInvertedIndex::Build(column, 4, 12, lowercase);
     const ReferencePostingsMap reference =
         BuildReferencePostings(column, 4, 12, lowercase);
     ASSERT_EQ(index.num_grams(), reference.size()) << lowercase;
@@ -302,13 +301,12 @@ TEST(ParallelIndexBuild, CsrMatchesMapReferenceBuilder) {
 
 TEST(ParallelRowMatch, PairsIdenticalAcrossThreadCounts) {
   const SynthDataset ds = GenerateSynth(SynthN(40, 23));
-  RowMatchOptions serial;
-  serial.num_threads = 1;
   const RowMatchResult base = FindJoinablePairs(
-      ds.pair.SourceColumn(), ds.pair.TargetColumn(), serial);
+      ds.pair.SourceColumn(), ds.pair.TargetColumn(), RowMatchOptions());
 
+  ThreadPool pool(8);
   RowMatchOptions parallel;
-  parallel.num_threads = 8;
+  parallel.pool = &pool;
   const RowMatchResult result = FindJoinablePairs(
       ds.pair.SourceColumn(), ds.pair.TargetColumn(), parallel);
   ASSERT_EQ(result.pairs.size(), base.pairs.size());
@@ -318,23 +316,31 @@ TEST(ParallelRowMatch, PairsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(result.unmatched_source_rows, base.unmatched_source_rows);
 }
 
-TEST(SharedPool, TransformJoinConstructsExactlyOnePool) {
-  // A parallel TransformJoin shares ONE pool across its index builds, row
-  // scan, generation, and coverage (it used to spawn one per phase); a
-  // serial join constructs none. Results match the serial run either way.
+TEST(SharedPool, PhasesNeverConstructPools) {
+  // The caller's pool is the only one: no phase builds its own, with a
+  // pool or without. Results match the serial (no-pool) run either way.
   const SynthDataset ds = GenerateSynth(SynthN(40, 17));
-  JoinOptions serial_options;
-  const uint64_t before_serial = ThreadPool::TotalCreated();
-  const JoinResult serial = TransformJoin(ds.pair, serial_options);
-  EXPECT_EQ(ThreadPool::TotalCreated() - before_serial, 0u);
+  const Column& source = ds.pair.SourceColumn();
+  const Column& target = ds.pair.TargetColumn();
+  const std::vector<ExamplePair> rows =
+      MakeExamplePairs(source, target, ds.pair.golden.pairs());
+  ThreadPool pool(4);
+  JoinResult joins[2];
+  for (ThreadPool* shared : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string label = shared == nullptr ? "no pool" : "pool of 4";
+    JoinOptions options;
+    options.discovery.pool = shared;
+    options.match_options.pool = shared;
+    const uint64_t before = ThreadPool::TotalCreated();
+    joins[shared != nullptr] = TransformJoin(ds.pair, options);
+    DiscoverTransformations(rows, options.discovery);
+    FindJoinablePairs(source, target, options.match_options);
+    NgramInvertedIndex::Build(source, 4, 20, true, shared);
+    EXPECT_EQ(ThreadPool::TotalCreated() - before, 0u) << label;
+  }
 
-  JoinOptions parallel_options;
-  parallel_options.discovery.num_threads = 4;
-  parallel_options.match_options.num_threads = 4;
-  const uint64_t before_parallel = ThreadPool::TotalCreated();
-  const JoinResult parallel = TransformJoin(ds.pair, parallel_options);
-  EXPECT_EQ(ThreadPool::TotalCreated() - before_parallel, 1u);
-
+  const JoinResult& serial = joins[0];
+  const JoinResult& parallel = joins[1];
   ASSERT_EQ(parallel.joined.size(), serial.joined.size());
   for (size_t i = 0; i < serial.joined.size(); ++i) {
     EXPECT_EQ(parallel.joined[i], serial.joined[i]);
