@@ -11,6 +11,7 @@
 
 #include "benchlib/report.h"
 #include "benchlib/suite.h"
+#include "common/thread_pool.h"
 #include "core/discovery.h"
 #include "datagen/synth.h"
 #include "datagen/webtables.h"
@@ -24,7 +25,8 @@ struct Variant {
 };
 
 void RunOn(const char* dataset_name,
-           const std::vector<std::vector<ExamplePair>>& tables) {
+           const std::vector<std::vector<ExamplePair>>& tables,
+           ThreadPool* pool) {
   std::printf("-- %s --\n", dataset_name);
   std::vector<Variant> variants;
   variants.push_back({"full", DiscoveryOptions()});
@@ -48,6 +50,7 @@ void RunOn(const char* dataset_name,
     o.max_placeholders = p;
     variants.push_back({p == 2 ? "p=2" : "p=4", o});
   }
+  for (Variant& variant : variants) variant.options.pool = pool;
 
   TablePrinter table({"variant", "time", "unique trans", "evals", "top cov",
                       "coverage", "#sets"});
@@ -80,6 +83,7 @@ void RunOn(const char* dataset_name,
 void Run() {
   std::printf("== Ablation: pruning strategies and placeholder cap ==\n\n");
   const SuiteOptions suite_options = SuiteOptionsFromEnv();
+  ThreadPool pool(suite_options.num_threads);
 
   // Synthetic workload (dedup ablation needs a modest size: without
   // hash-consing every duplicate is re-applied to every row).
@@ -99,7 +103,7 @@ void Run() {
                                         ds.pair.TargetColumn(),
                                         ds.pair.golden.pairs()));
     }
-    RunOn("Synth-150 (2 tables)", tables);
+    RunOn("Synth-150 (2 tables)", tables, &pool);
   }
 
   // A slice of the web-tables benchmark (golden pairs).
@@ -113,7 +117,7 @@ void Run() {
                                         pair.TargetColumn(),
                                         pair.golden.pairs()));
     }
-    RunOn("Web tables (6 pairs, golden matching)", tables);
+    RunOn("Web tables (6 pairs, golden matching)", tables, &pool);
   }
 }
 

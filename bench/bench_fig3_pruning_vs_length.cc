@@ -11,6 +11,7 @@
 
 #include "benchlib/report.h"
 #include "benchlib/suite.h"
+#include "common/thread_pool.h"
 #include "core/discovery.h"
 #include "datagen/synth.h"
 
@@ -20,6 +21,7 @@ namespace {
 void Run() {
   std::printf("== Figure 3: Pruning percentage vs input length ==\n");
   const SuiteOptions suite_options = SuiteOptionsFromEnv();
+  ThreadPool pool(suite_options.num_threads);
   const size_t rows =
       static_cast<size_t>(100 * suite_options.scale) < 10
           ? 10
@@ -39,6 +41,7 @@ void Run() {
         ds.pair.golden.pairs());
     DiscoveryOptions discovery;
     discovery.max_transformations_per_row = 32768;  // match fig4b's setting
+    discovery.pool = &pool;
     const DiscoveryResult result =
         DiscoverTransformations(examples, discovery);
     series.AddPoint(length, {100.0 * result.stats.DuplicateRatio(),

@@ -11,6 +11,7 @@
 
 #include "benchlib/report.h"
 #include "benchlib/suite.h"
+#include "common/thread_pool.h"
 #include "core/discovery.h"
 #include "datagen/synth.h"
 
@@ -20,6 +21,9 @@ namespace {
 void Run() {
   std::printf("== Figure 4a: Runtime breakdown vs number of rows ==\n\n");
   const SuiteOptions suite_options = SuiteOptionsFromEnv();
+  ThreadPool pool(suite_options.num_threads);
+  DiscoveryOptions discovery;
+  discovery.pool = &pool;
   SeriesPrinter series("rows", {"apply_s", "dedup_s", "placeholder_s",
                                 "unit_extraction_s", "total_s"});
   const size_t row_counts[] = {100, 250, 500, 1000, 2000};
@@ -37,7 +41,7 @@ void Run() {
         ds.pair.SourceColumn(), ds.pair.TargetColumn(),
         ds.pair.golden.pairs());
     const DiscoveryResult result =
-        DiscoverTransformations(examples, DiscoveryOptions());
+        DiscoverTransformations(examples, discovery);
     series.AddPoint(static_cast<double>(scaled),
                     {result.stats.time_apply,
                      result.stats.time_duplicate_removal,

@@ -10,6 +10,7 @@
 
 #include "benchlib/report.h"
 #include "benchlib/suite.h"
+#include "common/thread_pool.h"
 #include "core/discovery.h"
 #include "datagen/synth.h"
 
@@ -19,6 +20,7 @@ namespace {
 void Run() {
   std::printf("== Figure 4b: Runtime breakdown vs input length ==\n\n");
   const SuiteOptions suite_options = SuiteOptionsFromEnv();
+  ThreadPool pool(suite_options.num_threads);
   const size_t rows =
       static_cast<size_t>(100 * suite_options.scale) < 10
           ? 10
@@ -40,6 +42,7 @@ void Run() {
     // curve past ~length 100).
     DiscoveryOptions discovery;
     discovery.max_transformations_per_row = 32768;
+    discovery.pool = &pool;
     const DiscoveryResult result =
         DiscoverTransformations(examples, discovery);
     series.AddPoint(length, {result.stats.time_apply,

@@ -18,6 +18,7 @@
 #include "benchlib/report.h"
 #include "benchlib/suite.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/discovery.h"
 #include "datagen/synth.h"
 
@@ -50,6 +51,9 @@ void RunEmpirical() {
   std::printf("-- Empirical: rules recovered from a sample (3 rules/table) "
               "--\n");
   const SuiteOptions suite_options = SuiteOptionsFromEnv();
+  ThreadPool pool(suite_options.num_threads);
+  DiscoveryOptions discovery;
+  discovery.pool = &pool;
   const auto base_rows = static_cast<size_t>(400 * suite_options.scale);
   const size_t total_rows = base_rows < 40 ? 40 : base_rows;
   TablePrinter table({"sample size", "rules covered (of 3)",
@@ -75,7 +79,7 @@ void RunEmpirical() {
       for (uint32_t i : idx) sampled.push_back(all[i]);
 
       const DiscoveryResult result =
-          DiscoverTransformations(sampled, DiscoveryOptions());
+          DiscoverTransformations(sampled, discovery);
       sample_cov_sum += result.CoverSetCoverageFraction();
 
       // Apply the discovered covering set to the full input: how many rows

@@ -82,10 +82,8 @@ tj::Status ReadGolden(const std::string& path, bool left_is_source,
   for (size_t r = 0; r < golden.num_rows(); ++r) {
     uint32_t left_row = 0;
     uint32_t right_row = 0;
-    if (!flags::ParseNumber(golden.column(0).Get(r), 0, UINT32_MAX,
-                            &left_row) ||
-        !flags::ParseNumber(golden.column(1).Get(r), 0, UINT32_MAX,
-                            &right_row)) {
+    if (!ParseNumber(golden.column(0).Get(r), 0, UINT32_MAX, &left_row) ||
+        !ParseNumber(golden.column(1).Get(r), 0, UINT32_MAX, &right_row)) {
       return Status::InvalidArgument(StrPrintf(
           "%s: golden row %zu is not two row indexes", path.c_str(), r + 1));
     }

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/discovery.h"
@@ -39,19 +41,14 @@ std::vector<TablePair> SynthTables(size_t rows, bool long_rows, size_t count,
 
 SuiteOptions SuiteOptionsFromEnv() {
   SuiteOptions options;
+  // A malformed or out-of-range value keeps the default, so a typo cannot
+  // flip every bench to all cores (0) or to a zero scale.
   if (const char* scale = std::getenv("TJ_BENCH_SCALE")) {
-    const double parsed = std::atof(scale);
-    if (parsed > 0.0) options.scale = parsed;
+    ParseNumber(scale, std::numeric_limits<double>::denorm_min(),
+                std::numeric_limits<double>::max(), &options.scale);
   }
   if (const char* threads = std::getenv("TJ_NUM_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(threads, &end, 10);
-    // Reject empty/non-numeric/absurd values so a typo keeps the serial
-    // default instead of silently flipping every bench to all-cores (0) or
-    // wrapping through the int cast.
-    if (end != threads && *end == '\0' && parsed >= 0 && parsed <= 1024) {
-      options.num_threads = static_cast<int>(parsed);
-    }
+    ParseNumber(threads, 0, 1024, &options.num_threads);
   }
   return options;
 }

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
+#include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/strings.h"
@@ -48,21 +49,47 @@ double NextUnit(uint64_t* state) {
   return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
 }
 
-int ParseErrnoToken(std::string_view token, bool* ok) {
-  *ok = true;
-  if (token == "EIO") return EIO;
-  if (token == "ENOSPC") return ENOSPC;
-  if (token == "ENOMEM") return ENOMEM;
-  if (token == "EMFILE") return EMFILE;
-  if (token == "EINTR") return EINTR;
-  char* end = nullptr;
-  const std::string text(token);
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || value <= 0 || value > 4096) {
-    *ok = false;
-    return 0;
+/// An errno name (EIO/ENOSPC/ENOMEM/EMFILE/EINTR) or a number in [1, 4096].
+bool ParseErrnoToken(std::string_view token, int* out) {
+  for (const auto& [name, value] :
+       {std::pair{"EIO", EIO}, std::pair{"ENOSPC", ENOSPC},
+        std::pair{"ENOMEM", ENOMEM}, std::pair{"EMFILE", EMFILE},
+        std::pair{"EINTR", EINTR}}) {
+    if (token == name) {
+      *out = value;
+      return true;
+    }
   }
-  return static_cast<int>(value);
+  return ParseNumber(token, 1, 4096, out);
+}
+
+/// Parses one "key:value" option of a spec entry into *config.
+Status ParseOption(std::string_view kv, FailpointConfig* config) {
+  const size_t colon = kv.find(':');
+  if (colon == std::string_view::npos) {
+    return Status::InvalidArgument("failpoint spec: expected key:value, got '" +
+                                   std::string(kv) + "'");
+  }
+  const std::string_view key = kv.substr(0, colon);
+  const std::string_view value = kv.substr(colon + 1);
+  bool ok = false;
+  if (key == "p") {
+    ok = ParseNumber(value, 0.0, 1.0, &config->probability);
+  } else if (key == "errno") {
+    ok = ParseErrnoToken(value, &config->fail_errno);
+  } else if (key == "hits") {
+    ok = ParseNumber(value, -1, INT32_MAX, &config->max_hits);
+  } else if (key == "skip") {
+    ok = ParseNumber(value, 0, INT32_MAX, &config->skip);
+  } else if (key == "seed") {
+    ok = ParseNumber(value, 0, UINT64_MAX, &config->seed);
+  } else {
+    return Status::InvalidArgument("failpoint spec: unknown key '" +
+                                   std::string(key) + "'");
+  }
+  if (ok) return Status::OK();
+  return Status::InvalidArgument("failpoint spec: bad " + std::string(key) +
+                                 " '" + std::string(value) + "'");
 }
 
 }  // namespace
@@ -104,76 +131,27 @@ void ClearAll() {
 }
 
 Status ConfigureFromSpec(std::string_view spec) {
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    const size_t end = std::min(spec.find(';', pos), spec.size());
-    std::string_view entry = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (entry.empty()) continue;
-
-    const size_t eq = entry.find('=');
-    const std::string_view site = entry.substr(0, eq);
+  // The whole spec is parsed before any site is armed, so a rejected spec
+  // arms nothing.
+  std::vector<std::pair<std::string_view, FailpointConfig>> parsed;
+  TextScanner in(spec);
+  for (; !in.AtEnd(); in.Consume(";")) {
+    const std::string_view site = in.TakeUntil("=;");
+    const bool has_options = in.Consume("=");
     if (site.empty()) {
+      if (!has_options) continue;  // an empty entry (";;")
       return Status::InvalidArgument("failpoint spec: empty site name");
     }
     FailpointConfig config;
-    if (eq != std::string_view::npos) {
-      std::string_view opts = entry.substr(eq + 1);
-      size_t opos = 0;
-      while (opos <= opts.size()) {
-        const size_t oend = std::min(opts.find(',', opos), opts.size());
-        const std::string_view kv = opts.substr(opos, oend - opos);
-        opos = oend + 1;
-        if (kv.empty()) continue;
-        const size_t colon = kv.find(':');
-        if (colon == std::string_view::npos) {
-          return Status::InvalidArgument(
-              "failpoint spec: expected key:value, got '" + std::string(kv) +
-              "'");
-        }
-        const std::string_view key = kv.substr(0, colon);
-        const std::string value(kv.substr(colon + 1));
-        char* endp = nullptr;
-        if (key == "p") {
-          config.probability = std::strtod(value.c_str(), &endp);
-          if (endp == value.c_str() || *endp != '\0' ||
-              config.probability < 0.0 || config.probability > 1.0) {
-            return Status::InvalidArgument(
-                "failpoint spec: bad probability '" + value + "'");
-          }
-        } else if (key == "errno") {
-          bool ok = false;
-          config.fail_errno = ParseErrnoToken(value, &ok);
-          if (!ok) {
-            return Status::InvalidArgument("failpoint spec: bad errno '" +
-                                           value + "'");
-          }
-        } else if (key == "hits") {
-          config.max_hits = static_cast<int>(std::strtol(value.c_str(), &endp, 10));
-          if (endp == value.c_str() || *endp != '\0') {
-            return Status::InvalidArgument("failpoint spec: bad hits '" +
-                                           value + "'");
-          }
-        } else if (key == "skip") {
-          config.skip = static_cast<int>(std::strtol(value.c_str(), &endp, 10));
-          if (endp == value.c_str() || *endp != '\0' || config.skip < 0) {
-            return Status::InvalidArgument("failpoint spec: bad skip '" +
-                                           value + "'");
-          }
-        } else if (key == "seed") {
-          config.seed = std::strtoull(value.c_str(), &endp, 10);
-          if (endp == value.c_str() || *endp != '\0') {
-            return Status::InvalidArgument("failpoint spec: bad seed '" +
-                                           value + "'");
-          }
-        } else {
-          return Status::InvalidArgument("failpoint spec: unknown key '" +
-                                         std::string(key) + "'");
-        }
-      }
+    if (has_options) {
+      do {
+        const std::string_view kv = in.TakeUntil(",;");
+        if (!kv.empty()) TJ_RETURN_IF_ERROR(ParseOption(kv, &config));
+      } while (in.Consume(","));
     }
-    Configure(site, config);
+    parsed.emplace_back(site, config);
   }
+  for (const auto& [site, config] : parsed) Configure(site, config);
   return Status::OK();
 }
 

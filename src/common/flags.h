@@ -5,33 +5,16 @@
 #ifndef TJ_COMMON_FLAGS_H_
 #define TJ_COMMON_FLAGS_H_
 
-#include <charconv>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <type_traits>
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
 
 namespace tj::flags {
-
-/// Parses all of `text` as a T in [lo, hi]. Rejects surrounding space,
-/// trailing junk ("0,1", "5x"), a sign on an unsigned T, overflow, NaN and
-/// out-of-range values; *out is only written on success.
-template <typename T>
-bool ParseNumber(std::string_view text, std::type_identity_t<T> lo,
-                 std::type_identity_t<T> hi, T* out) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || !(lo <= value && value <= hi)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
 
 /// One flag. `set` receives the argument after the name (empty when
 /// `value` is empty, i.e. a boolean flag) and rejects it with a non-OK

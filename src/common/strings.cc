@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -100,6 +101,100 @@ std::string EscapeForDisplay(std::string_view s) {
   return out;
 }
 
+void TextScanner::SkipSpace() {
+  while (!AtEnd() && (text_[pos_] == ' ' || text_[pos_] == '\t')) ++pos_;
+}
+
+bool TextScanner::Consume(std::string_view prefix) {
+  if (text_.substr(pos_, prefix.size()) != prefix) return false;
+  pos_ += prefix.size();
+  return true;
+}
+
+bool TextScanner::ConsumeWord(std::string_view word) {
+  SkipSpace();
+  if (text_.substr(pos_, word.size()) != word) return false;
+  const size_t after = pos_ + word.size();
+  if (after < text_.size() && text_[after] != ' ' && text_[after] != '\t') {
+    return false;
+  }
+  pos_ = after;
+  return true;
+}
+
+bool TextScanner::ConsumeKey(std::string_view key) {
+  SkipSpace();
+  if (text_.substr(pos_, key.size()) != key ||
+      text_.substr(pos_ + key.size(), 1) != "=") {
+    return false;
+  }
+  pos_ += key.size() + 1;
+  return true;
+}
+
+std::string_view TextScanner::TakeUntil(std::string_view stops) {
+  const size_t start = pos_;
+  pos_ = std::min(text_.find_first_of(stops, pos_), text_.size());
+  return text_.substr(start, pos_ - start);
+}
+
+std::string_view TextScanner::TakeNumberToken() {
+  const size_t start = pos_;
+  while (!AtEnd()) {
+    const char c = text_[pos_];
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '.' &&
+        c != '+' && c != '-') {
+      break;
+    }
+    ++pos_;
+  }
+  return text_.substr(start, pos_ - start);
+}
+
+Result<std::string> TextScanner::ParseQuoted() {
+  SkipSpace();
+  if (!Consume("'")) {
+    return Status::InvalidArgument("expected opening quote at offset " +
+                                   std::to_string(pos_));
+  }
+  std::string out;
+  while (!AtEnd()) {
+    const char c = text_[pos_++];
+    if (c == '\'') return out;
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    if (AtEnd()) break;
+    const char esc = text_[pos_++];
+    switch (esc) {
+      case 'n': out.push_back('\n'); break;
+      case 't': out.push_back('\t'); break;
+      case 'r': out.push_back('\r'); break;
+      case '\'': out.push_back('\''); break;
+      case '\\': out.push_back('\\'); break;
+      case 'x': {
+        // Exactly two hex digits (EscapeForDisplay writes "\\x%02x").
+        const std::string_view hex = text_.substr(pos_, 2);
+        unsigned byte = 0;
+        const auto [ptr, ec] =
+            std::from_chars(hex.data(), hex.data() + hex.size(), byte, 16);
+        if (hex.size() != 2 || ec != std::errc() || ptr != hex.data() + 2) {
+          return Status::InvalidArgument("bad \\x escape at offset " +
+                                         std::to_string(pos_));
+        }
+        pos_ += 2;
+        out.push_back(static_cast<char>(byte));
+        break;
+      }
+      default:
+        return Status::InvalidArgument(std::string("unknown escape: \\") +
+                                       esc);
+    }
+  }
+  return Status::InvalidArgument("unterminated quoted string");
+}
+
 bool ParseByteSize(std::string_view s, size_t* out) {
   s = TrimAscii(s);
   if (s.empty()) return false;
@@ -110,15 +205,11 @@ bool ParseByteSize(std::string_view s, size_t* out) {
                              : last == 'm' ? (size_t{1} << 20)
                                            : (size_t{1} << 30);
     s.remove_suffix(1);
-    if (s.empty()) return false;
   }
   size_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    if (value > (~size_t{0} - (c - '0')) / 10) return false;  // overflow
-    value = value * 10 + static_cast<size_t>(c - '0');
+  if (!ParseNumber<size_t>(s, 0, ~size_t{0} / multiplier, &value)) {
+    return false;
   }
-  if (multiplier != 1 && value > ~size_t{0} / multiplier) return false;
   *out = value * multiplier;
   return true;
 }

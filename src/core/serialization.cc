@@ -1,6 +1,6 @@
 #include "core/serialization.h"
 
-#include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -9,170 +9,76 @@
 namespace tj {
 namespace {
 
-/// Incremental parser over a string_view.
-class Cursor {
- public:
-  explicit Cursor(std::string_view text) : text_(text) {}
+/// Reads a field separator or the closing parenthesis of a unit.
+Status Expect(TextScanner* in, std::string_view token) {
+  if (in->Consume(token)) return Status::OK();
+  return Status::InvalidArgument("expected '" + std::string(token) +
+                                 "' at offset " + std::to_string(in->pos()));
+}
 
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  char Peek() const { return AtEnd() ? '\0' : text_[pos_]; }
+/// One int32 unit argument, then the separator after it.
+Result<int32_t> Int(TextScanner* in, std::string_view then) {
+  TJ_ASSIGN_OR_RETURN(const int32_t value,
+                      in->Number<int32_t>(INT32_MIN, INT32_MAX));
+  TJ_RETURN_IF_ERROR(Expect(in, then));
+  return value;
+}
 
-  void SkipSpace() {
-    while (!AtEnd() && (text_[pos_] == ' ' || text_[pos_] == '\t')) ++pos_;
+/// A quoted string that must hold exactly one character, then the
+/// separator after it.
+Result<char> Char(TextScanner* in, std::string_view then) {
+  TJ_ASSIGN_OR_RETURN(const std::string s, in->ParseQuoted());
+  if (s.size() != 1) {
+    return Status::InvalidArgument("expected single-character delimiter");
   }
+  TJ_RETURN_IF_ERROR(Expect(in, then));
+  return s[0];
+}
 
-  bool Consume(char c) {
-    if (Peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  /// Parses a (possibly negative) decimal integer.
-  Result<int32_t> ParseInt() {
-    SkipSpace();
-    size_t start = pos_;
-    if (Peek() == '-') ++pos_;
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      return Status::InvalidArgument("expected integer at offset " +
-                                     std::to_string(start));
-    }
-    return static_cast<int32_t>(
-        std::stol(std::string(text_.substr(start, pos_ - start))));
-  }
-
-  /// Parses a single-quoted string with EscapeForDisplay escapes.
-  Result<std::string> ParseQuoted() {
-    SkipSpace();
-    if (!Consume('\'')) {
-      return Status::InvalidArgument("expected opening quote");
-    }
-    std::string out;
-    while (!AtEnd()) {
-      char c = text_[pos_++];
-      if (c == '\'') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (AtEnd()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case '\'':
-          out.push_back('\'');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case 'x': {
-          if (pos_ + 2 > text_.size()) {
-            return Status::InvalidArgument("truncated \\x escape");
-          }
-          const std::string hex(text_.substr(pos_, 2));
-          pos_ += 2;
-          out.push_back(static_cast<char>(std::stoi(hex, nullptr, 16)));
-          break;
-        }
-        default:
-          return Status::InvalidArgument(
-              std::string("unknown escape: \\") + esc);
-      }
-    }
-    return Status::InvalidArgument("unterminated quoted string");
-  }
-
-  /// Parses a quoted string that must hold exactly one character.
-  Result<char> ParseQuotedChar() {
-    TJ_ASSIGN_OR_RETURN(const std::string s, ParseQuoted());
-    if (s.size() != 1) {
-      return Status::InvalidArgument("expected single-character delimiter");
-    }
-    return s[0];
-  }
-
-  Result<Unit> ParseUnit();
-
-  size_t pos() const { return pos_; }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-Result<Unit> Cursor::ParseUnit() {
-  SkipSpace();
-  if (ConsumeWord("Literal(")) {
-    TJ_ASSIGN_OR_RETURN(std::string str, ParseQuoted());
-    if (!Consume(')')) return Status::InvalidArgument("expected ')'");
+Result<Unit> ReadUnit(TextScanner* in) {
+  in->SkipSpace();
+  if (in->Consume("Literal(")) {
+    TJ_ASSIGN_OR_RETURN(std::string str, in->ParseQuoted());
+    TJ_RETURN_IF_ERROR(Expect(in, ")"));
     return Unit::MakeLiteral(std::move(str));
   }
   // Note: "SplitSubstr(" must be tried before "Split(".
-  if (ConsumeWord("SplitSubstr(")) {
-    TJ_ASSIGN_OR_RETURN(const char c, ParseQuotedChar());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t i, ParseInt());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t s, ParseInt());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t e, ParseInt());
-    if (!Consume(')')) return Status::InvalidArgument("expected ')'");
+  if (in->Consume("SplitSubstr(")) {
+    TJ_ASSIGN_OR_RETURN(const char c, Char(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t i, Int(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t s, Int(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t e, Int(in, ")"));
     return Unit::MakeSplitSubstr(c, i, s, e);
   }
-  if (ConsumeWord("Split(")) {
-    TJ_ASSIGN_OR_RETURN(const char c, ParseQuotedChar());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t i, ParseInt());
-    if (!Consume(')')) return Status::InvalidArgument("expected ')'");
+  if (in->Consume("Split(")) {
+    TJ_ASSIGN_OR_RETURN(const char c, Char(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t i, Int(in, ")"));
     return Unit::MakeSplit(c, i);
   }
-  if (ConsumeWord("Substr(")) {
-    TJ_ASSIGN_OR_RETURN(const int32_t s, ParseInt());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t e, ParseInt());
-    if (!Consume(')')) return Status::InvalidArgument("expected ')'");
+  if (in->Consume("Substr(")) {
+    TJ_ASSIGN_OR_RETURN(const int32_t s, Int(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t e, Int(in, ")"));
     return Unit::MakeSubstr(s, e);
   }
-  if (ConsumeWord("TwoCharSplitSubstr(")) {
-    TJ_ASSIGN_OR_RETURN(const char c1, ParseQuotedChar());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const char c2, ParseQuotedChar());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t i, ParseInt());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t s, ParseInt());
-    if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    TJ_ASSIGN_OR_RETURN(const int32_t e, ParseInt());
-    if (!Consume(')')) return Status::InvalidArgument("expected ')'");
+  if (in->Consume("TwoCharSplitSubstr(")) {
+    TJ_ASSIGN_OR_RETURN(const char c1, Char(in, ","));
+    TJ_ASSIGN_OR_RETURN(const char c2, Char(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t i, Int(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t s, Int(in, ","));
+    TJ_ASSIGN_OR_RETURN(const int32_t e, Int(in, ")"));
     return Unit::MakeTwoCharSplitSubstr(c1, c2, i, s, e);
   }
   return Status::InvalidArgument("unknown unit at offset " +
-                                 std::to_string(pos()));
+                                 std::to_string(in->pos()));
 }
 
 }  // namespace
 
 Result<Unit> ParseUnit(std::string_view text) {
-  Cursor cursor(text);
-  TJ_ASSIGN_OR_RETURN(Unit unit, cursor.ParseUnit());
-  cursor.SkipSpace();
-  if (!cursor.AtEnd()) {
+  TextScanner in(text);
+  TJ_ASSIGN_OR_RETURN(Unit unit, ReadUnit(&in));
+  in.SkipSpace();
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing characters after unit");
   }
   return unit;
@@ -180,26 +86,26 @@ Result<Unit> ParseUnit(std::string_view text) {
 
 Result<std::vector<UnitId>> ParseTransformation(std::string_view text,
                                                 UnitInterner* interner) {
-  Cursor cursor(text);
-  cursor.SkipSpace();
-  if (!cursor.Consume('<')) {
+  TextScanner in(text);
+  in.SkipSpace();
+  if (!in.Consume("<")) {
     return Status::InvalidArgument("transformation must start with '<'");
   }
   std::vector<UnitId> ids;
-  cursor.SkipSpace();
-  if (!cursor.Consume('>')) {
+  in.SkipSpace();
+  if (!in.Consume(">")) {
     for (;;) {
-      TJ_ASSIGN_OR_RETURN(const Unit unit, cursor.ParseUnit());
+      TJ_ASSIGN_OR_RETURN(const Unit unit, ReadUnit(&in));
       ids.push_back(interner->Intern(unit));
-      cursor.SkipSpace();
-      if (cursor.Consume('>')) break;
-      if (!cursor.Consume(',')) {
+      in.SkipSpace();
+      if (in.Consume(">")) break;
+      if (!in.Consume(",")) {
         return Status::InvalidArgument("expected ',' or '>'");
       }
     }
   }
-  cursor.SkipSpace();
-  if (!cursor.AtEnd()) {
+  in.SkipSpace();
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing characters after '>'");
   }
   std::vector<UnitId> normalized;

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -21,148 +22,23 @@
 namespace tj {
 namespace {
 
-/// Minimal line parser for the signature dump: whitespace-separated tokens,
-/// names quoted with the EscapeForDisplay escapes.
-class LineCursor {
- public:
-  /// Errors name the dump's line: "signatures line N: ...".
-  LineCursor(std::string_view line, size_t line_no)
-      : line_(line), line_no_(line_no) {}
-
-  Status Fail(const std::string& message) const {
-    return Status::InvalidArgument(StrPrintf(
-        "signatures line %zu: %s", line_no_, message.c_str()));
+/// `key=` followed by a number in [lo, hi].
+template <typename T>
+Result<T> KeyNumber(TextScanner* in, std::string_view key,
+                    std::type_identity_t<T> lo, std::type_identity_t<T> hi) {
+  if (!in->ConsumeKey(key)) {
+    return Status::InvalidArgument("expected " + std::string(key) + "=");
   }
+  return in->Number<T>(lo, hi);
+}
 
-  void SkipSpace() {
-    while (pos_ < line_.size() &&
-           (line_[pos_] == ' ' || line_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= line_.size();
-  }
-
-  /// Consumes `word` (must be followed by whitespace or end of line).
-  bool ConsumeWord(std::string_view word) {
-    SkipSpace();
-    if (line_.substr(pos_, word.size()) != word) return false;
-    const size_t after = pos_ + word.size();
-    if (after < line_.size() && line_[after] != ' ' && line_[after] != '\t') {
-      return false;
-    }
-    pos_ = after;
-    return true;
-  }
-
-  /// Consumes `key` then '=' and leaves the cursor on the value.
-  bool ConsumeKey(std::string_view key) {
-    SkipSpace();
-    if (line_.substr(pos_, key.size()) != key) return false;
-    if (pos_ + key.size() >= line_.size() ||
-        line_[pos_ + key.size()] != '=') {
-      return false;
-    }
-    pos_ += key.size() + 1;
-    return true;
-  }
-
-  /// `key=` followed by an unsigned integer.
-  Result<uint64_t> KeyU64(std::string_view key) {
-    if (!ConsumeKey(key)) return Fail("expected " + std::string(key) + "=");
-    return ParseU64();
-  }
-
-  Result<uint64_t> ParseU64() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Fail("expected unsigned integer");
-    }
-    return static_cast<uint64_t>(
-        std::strtoull(std::string(line_.substr(start, pos_ - start)).c_str(),
-                      nullptr, 10));
-  }
-
-  /// Parses a double written by "%a" (hex float) or "%g".
-  Result<double> ParseDouble() {
-    SkipSpace();
-    const std::string rest(line_.substr(pos_));
-    char* end = nullptr;
-    const double value = std::strtod(rest.c_str(), &end);
-    if (end == rest.c_str()) {
-      return Fail("expected floating-point value");
-    }
-    pos_ += static_cast<size_t>(end - rest.c_str());
-    return value;
-  }
-
-  Result<double> KeyDouble(std::string_view key) {
-    if (!ConsumeKey(key)) return Fail("expected " + std::string(key) + "=");
-    return ParseDouble();
-  }
-
-  /// Parses a single-quoted string with the EscapeForDisplay escapes.
-  Result<std::string> ParseQuoted() {
-    SkipSpace();
-    if (pos_ >= line_.size() || line_[pos_] != '\'') {
-      return Fail("expected opening quote");
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < line_.size()) {
-      const char c = line_[pos_++];
-      if (c == '\'') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= line_.size()) break;
-      const char esc = line_[pos_++];
-      switch (esc) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case '\'': out.push_back('\''); break;
-        case '\\': out.push_back('\\'); break;
-        case 'x': {
-          if (pos_ + 2 > line_.size()) {
-            return Fail("truncated \\x escape");
-          }
-          const auto hex_digit = [](char h) -> int {
-            if (h >= '0' && h <= '9') return h - '0';
-            if (h >= 'a' && h <= 'f') return h - 'a' + 10;
-            if (h >= 'A' && h <= 'F') return h - 'A' + 10;
-            return -1;
-          };
-          const int hi = hex_digit(line_[pos_]);
-          const int lo = hex_digit(line_[pos_ + 1]);
-          pos_ += 2;
-          if (hi < 0 || lo < 0) {
-            return Fail("invalid \\x escape");
-          }
-          out.push_back(static_cast<char>(hi * 16 + lo));
-          break;
-        }
-        default:
-          return Fail(std::string("unknown escape: \\") +
-                                         esc);
-      }
-    }
-    return Fail("unterminated quoted string");
-  }
-
- private:
-  std::string_view line_;
-  size_t line_no_;
-  size_t pos_ = 0;
-};
+/// Nothing but space may follow a line's last field.
+Status ExpectLineEnd(TextScanner* in) {
+  in->SkipSpace();
+  if (in->AtEnd()) return Status::OK();
+  return Status::InvalidArgument("trailing characters at offset " +
+                                 std::to_string(in->pos()));
+}
 
 constexpr std::string_view kSignatureHeaderV2 = "# tj-signatures v2";
 
@@ -649,6 +525,8 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
   // Parse into a staging list first so a malformed dump installs nothing.
   std::vector<std::pair<ColumnRef, ColumnSignature>> staged;
   constexpr uint32_t kNoTable = ~0u;
+  constexpr uint64_t kU64 = UINT64_MAX;
+  constexpr uint32_t kU32 = UINT32_MAX;
   uint32_t current_table = kNoTable;
   bool saw_header = false;
   bool saw_options = false;
@@ -659,6 +537,124 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
   // waiting for its minhash line.
   bool column_pending = false;
   ColumnSignature skipped_sig;  // throwaway target inside skipped blocks
+
+  // One trimmed, non-empty line after the header; errors get the line
+  // number prefixed below.
+  const auto parse_line = [&](std::string_view line) -> Status {
+    TextScanner in(line);
+    if (line[0] == '#') return Status::OK();
+
+    if (in.ConsumeWord("options")) {
+      TJ_ASSIGN_OR_RETURN(const uint64_t ngram,
+                          KeyNumber<uint64_t>(&in, "ngram", 0, kU64));
+      TJ_ASSIGN_OR_RETURN(const uint64_t hashes,
+                          KeyNumber<uint64_t>(&in, "hashes", 0, kU64));
+      TJ_ASSIGN_OR_RETURN(const uint64_t seed,
+                          KeyNumber<uint64_t>(&in, "seed", 0, kU64));
+      TJ_ASSIGN_OR_RETURN(const int lowercase,
+                          KeyNumber<int>(&in, "lowercase", 0, 1));
+      TJ_RETURN_IF_ERROR(ExpectLineEnd(&in));
+      if (ngram != options_.ngram || hashes != options_.num_hashes ||
+          seed != options_.seed || (lowercase != 0) != options_.lowercase) {
+        return Status::InvalidArgument(
+            "sketch parameters disagree with this catalog's options");
+      }
+      saw_options = true;
+      return Status::OK();
+    }
+    if (!saw_options) {
+      return Status::InvalidArgument("expected options line first");
+    }
+
+    if (in.ConsumeWord("table")) {
+      if (column_pending) {
+        return Status::InvalidArgument("previous column missing its minhash");
+      }
+      TJ_ASSIGN_OR_RETURN(const std::string name, in.ParseQuoted());
+      TJ_ASSIGN_OR_RETURN(const uint64_t fp,
+                          KeyNumber<uint64_t>(&in, "fp", 0, kU64));
+      TJ_RETURN_IF_ERROR(ExpectLineEnd(&in));
+      auto index = TableIndex(name);
+      // An entry for a table this catalog no longer has, or whose content
+      // changed since the cache was written, is stale, not fatal: skip the
+      // block — the sketches will be recomputed.
+      skipping_block = !index.ok() || fp != tables_[*index].fingerprint;
+      current_table = skipping_block ? kNoTable : *index;
+      return Status::OK();
+    }
+    if (in.ConsumeWord("column")) {
+      if (column_pending) {
+        return Status::InvalidArgument("previous column missing its minhash");
+      }
+      TJ_ASSIGN_OR_RETURN(const std::string name, in.ParseQuoted());
+      ColumnSignature sig;
+      sig.ngram = options_.ngram;
+      sig.seed = options_.seed;
+      TJ_ASSIGN_OR_RETURN(sig.num_rows,
+                          KeyNumber<uint32_t>(&in, "rows", 0, kU32));
+      TJ_ASSIGN_OR_RETURN(sig.distinct_ngrams,
+                          KeyNumber<uint64_t>(&in, "distinct", 0, kU64));
+      TJ_ASSIGN_OR_RETURN(sig.min_length,
+                          KeyNumber<uint32_t>(&in, "minlen", 0, kU32));
+      TJ_ASSIGN_OR_RETURN(sig.max_length,
+                          KeyNumber<uint32_t>(&in, "maxlen", 0, kU32));
+      // Written with "%a"; a finite, non-negative mean.
+      TJ_ASSIGN_OR_RETURN(
+          sig.mean_length,
+          KeyNumber<double>(&in, "meanlen", 0.0,
+                            std::numeric_limits<double>::max()));
+      TJ_ASSIGN_OR_RETURN(sig.charset_mask,
+                          KeyNumber<uint32_t>(&in, "charset", 0, kU32));
+      TJ_RETURN_IF_ERROR(ExpectLineEnd(&in));
+      column_pending = true;
+      if (skipping_block) {
+        skipped_sig = std::move(sig);
+        return Status::OK();
+      }
+      if (current_table == kNoTable) {
+        return Status::InvalidArgument("column before any table");
+      }
+      // Read the row count from the entry's own table: checking it must
+      // not re-map a table the budget evicted.
+      const Table& owner = *tables_[current_table].table;
+      auto col = owner.ColumnIndex(name);
+      if (!col.ok()) {
+        return Status::InvalidArgument("table '" + owner.name() +
+                                       "' has no column '" + name + "'");
+      }
+      if (sig.num_rows != owner.column(*col).size()) {
+        return Status::InvalidArgument(
+            "row count disagrees with the catalog table");
+      }
+      staged.emplace_back(
+          ColumnRef{current_table, static_cast<uint32_t>(*col)},
+          std::move(sig));
+      return Status::OK();
+    }
+    if (in.ConsumeWord("minhash")) {
+      if (!column_pending) {
+        return Status::InvalidArgument("minhash before any column");
+      }
+      ColumnSignature& sig =
+          skipping_block ? skipped_sig : staged.back().second;
+      if (!sig.minhash.empty()) {
+        return Status::InvalidArgument("duplicate minhash line");
+      }
+      sig.minhash.reserve(options_.num_hashes);
+      for (in.SkipSpace(); !in.AtEnd(); in.SkipSpace()) {
+        TJ_ASSIGN_OR_RETURN(const uint64_t h, in.Number<uint64_t>(0, kU64));
+        sig.minhash.push_back(h);
+      }
+      if (sig.minhash.size() != options_.num_hashes) {
+        return Status::InvalidArgument(
+            StrPrintf("expected %zu minhash slots, got %zu",
+                      options_.num_hashes, sig.minhash.size()));
+      }
+      column_pending = false;
+      return Status::OK();
+    }
+    return Status::InvalidArgument("unrecognized line");
+  };
 
   size_t line_no = 0;
   size_t pos = 0;
@@ -671,131 +667,30 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
     ++line_no;
     line = TrimAscii(line);
     if (line.empty()) continue;
-    LineCursor cursor(line, line_no);
+    Status parsed = Status::OK();
     if (!saw_header) {
-      if (line != kSignatureHeaderV2) {
-        return cursor.Fail("missing tj-signatures header");
+      saw_header = line == kSignatureHeaderV2;
+      if (!saw_header) {
+        parsed = Status::InvalidArgument("missing tj-signatures header");
       }
-      saw_header = true;
-      continue;
+    } else {
+      parsed = parse_line(line);
     }
-    if (line[0] == '#') continue;
-
-    if (cursor.ConsumeWord("options")) {
-      TJ_ASSIGN_OR_RETURN(const uint64_t ngram, cursor.KeyU64("ngram"));
-      TJ_ASSIGN_OR_RETURN(const uint64_t hashes, cursor.KeyU64("hashes"));
-      TJ_ASSIGN_OR_RETURN(const uint64_t seed, cursor.KeyU64("seed"));
-      TJ_ASSIGN_OR_RETURN(const uint64_t lowercase,
-                          cursor.KeyU64("lowercase"));
-      if (ngram != options_.ngram || hashes != options_.num_hashes ||
-          seed != options_.seed ||
-          (lowercase != 0) != options_.lowercase) {
-        return cursor.Fail(
-            "sketch parameters disagree with this catalog's options");
-      }
-      saw_options = true;
-      continue;
+    if (!parsed.ok()) {
+      return Status::InvalidArgument(StrPrintf(
+          "signatures line %zu: %s", line_no, parsed.message().c_str()));
     }
-    if (!saw_options) return cursor.Fail("expected options line first");
-
-    if (cursor.ConsumeWord("table")) {
-      if (column_pending) {
-        return cursor.Fail("previous column missing its minhash");
-      }
-      TJ_ASSIGN_OR_RETURN(const std::string name, cursor.ParseQuoted());
-      TJ_ASSIGN_OR_RETURN(const uint64_t fp, cursor.KeyU64("fp"));
-      auto index = TableIndex(name);
-      // An entry for a table this catalog no longer has, or whose content
-      // changed since the cache was written, is stale, not fatal: skip the
-      // block — the sketches will be recomputed.
-      if (!index.ok() || fp != tables_[*index].fingerprint) {
-        skipping_block = true;
-        current_table = kNoTable;
-        continue;
-      }
-      skipping_block = false;
-      current_table = *index;
-      continue;
-    }
-    if (cursor.ConsumeWord("column")) {
-      if (column_pending) {
-        return cursor.Fail("previous column missing its minhash");
-      }
-      TJ_ASSIGN_OR_RETURN(const std::string name, cursor.ParseQuoted());
-      ColumnSignature sig;
-      sig.ngram = options_.ngram;
-      sig.seed = options_.seed;
-      TJ_ASSIGN_OR_RETURN(const uint64_t rows, cursor.KeyU64("rows"));
-      sig.num_rows = static_cast<uint32_t>(rows);
-      TJ_ASSIGN_OR_RETURN(sig.distinct_ngrams, cursor.KeyU64("distinct"));
-      TJ_ASSIGN_OR_RETURN(const uint64_t minlen, cursor.KeyU64("minlen"));
-      sig.min_length = static_cast<uint32_t>(minlen);
-      TJ_ASSIGN_OR_RETURN(const uint64_t maxlen, cursor.KeyU64("maxlen"));
-      sig.max_length = static_cast<uint32_t>(maxlen);
-      TJ_ASSIGN_OR_RETURN(sig.mean_length, cursor.KeyDouble("meanlen"));
-      TJ_ASSIGN_OR_RETURN(const uint64_t charset, cursor.KeyU64("charset"));
-      sig.charset_mask = static_cast<uint32_t>(charset);
-      if (skipping_block) {
-        skipped_sig = std::move(sig);
-        column_pending = true;
-        continue;
-      }
-      if (current_table == kNoTable) {
-        return cursor.Fail("column before any table");
-      }
-      const uint32_t owner_id = current_table;
-      const Table& owner = *tables_[owner_id].table;
-      auto col = owner.ColumnIndex(name);
-      if (!col.ok()) {
-        return cursor.Fail("table '" + owner.name() + "' has no column '" +
-                           name + "'");
-      }
-      if (sig.num_rows !=
-          column(ColumnRef{owner_id, static_cast<uint32_t>(*col)}).size()) {
-        return cursor.Fail("row count disagrees with the catalog table");
-      }
-      staged.emplace_back(ColumnRef{owner_id, static_cast<uint32_t>(*col)},
-                          std::move(sig));
-      column_pending = true;
-      continue;
-    }
-    if (cursor.ConsumeWord("minhash")) {
-      if (!column_pending) return cursor.Fail("minhash before any column");
-      ColumnSignature& sig =
-          skipping_block ? skipped_sig : staged.back().second;
-      if (!sig.minhash.empty()) return cursor.Fail("duplicate minhash line");
-      sig.minhash.reserve(options_.num_hashes);
-      while (!cursor.AtEnd()) {
-        TJ_ASSIGN_OR_RETURN(const uint64_t h, cursor.ParseU64());
-        sig.minhash.push_back(h);
-      }
-      if (sig.minhash.size() != options_.num_hashes) {
-        return cursor.Fail(StrPrintf("expected %zu minhash slots, got %zu",
-                                     options_.num_hashes,
-                                     sig.minhash.size()));
-      }
-      column_pending = false;
-      continue;
-    }
-    return cursor.Fail("unrecognized line");
   }
   if (!saw_header) {
     return Status::InvalidArgument("signatures: missing tj-signatures header");
   }
+  // Every staged column has its full minhash line: a column line while
+  // one is pending fails above, and so does a short minhash line.
   if (column_pending) {
     return Status::InvalidArgument(
         "signatures: truncated dump — last column is missing its minhash "
         "line");
   }
-  for (const auto& [ref, sig] : staged) {
-    if (sig.minhash.size() != options_.num_hashes) {
-      return Status::InvalidArgument(
-          "signatures: column '" +
-          tables_[ref.table].table->column(ref.column).name() +
-          "' is missing its minhash line");
-    }
-  }
-
   for (auto& [ref, sig] : staged) {
     tables_[ref.table].signatures[ref.column] = std::move(sig);
   }

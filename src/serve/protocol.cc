@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include <unistd.h>
 
@@ -104,11 +105,10 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    errno = 0;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || errno == ERANGE) {
+    double value = 0.0;
+    if (!tj::ParseNumber(text_.substr(start, pos_ - start),
+                         std::numeric_limits<double>::lowest(),
+                         std::numeric_limits<double>::max(), &value)) {
       pos_ = start;
       return Fail("malformed number");
     }

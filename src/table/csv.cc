@@ -10,16 +10,23 @@
 namespace tj {
 namespace {
 
+enum class Record { kParsed, kEnd, kNeedMore };
+
 /// Parses one record starting at *pos into the first `*num_fields` elements
-/// of `fields`; advances *pos past the record's trailing newline. Returns
-/// false at end of input. `fields` is a reusable scratch: elements are
-/// cleared and refilled in place (their buffers are kept across records), so
-/// a steady-state parse performs no per-field heap allocation.
-bool ParseRecord(std::string_view text, size_t* pos, char delim,
-                 std::vector<std::string>* fields, size_t* num_fields,
-                 Status* status) {
+/// of `fields` and advances *pos past the record's line terminator.
+/// `at_eof` says whether `text` runs to the end of the input; when it does
+/// not, a record the buffer cuts short (inside quotes, on a trailing '"' or
+/// '\r', or with no terminator yet) returns kNeedMore and leaves *pos. At
+/// the end of the input: kEnd, with *status set if a quote is unterminated.
+/// A quote only opens quoting at field start; a stray mid-field '"' is
+/// data. `fields` is a reusable scratch: elements are cleared and refilled
+/// in place (their buffers are kept across records), so a steady-state
+/// parse performs no per-field heap allocation.
+Record ParseRecord(std::string_view text, bool at_eof, size_t* pos,
+                   char delim, std::vector<std::string>* fields,
+                   size_t* num_fields, Status* status) {
   *num_fields = 0;
-  if (*pos >= text.size()) return false;
+  if (*pos >= text.size()) return Record::kEnd;
   const auto next_field = [&]() -> std::string* {
     if (*num_fields == fields->size()) fields->emplace_back();
     std::string* f = &(*fields)[(*num_fields)++];
@@ -57,85 +64,21 @@ bool ParseRecord(std::string_view text, size_t* pos, char delim,
       field->push_back(c);
     }
   }
+  // Without a terminator in the buffer, or with a '\r' that may be the
+  // first half of "\r\n", the record may go on in the next block.
+  if (!at_eof && (i == text.size() ||
+                  (text[i] == '\r' && i + 1 == text.size()))) {
+    return Record::kNeedMore;
+  }
   if (in_quotes) {
     *status = Status::InvalidArgument("unterminated quoted CSV field");
-    return false;
+    return Record::kEnd;
   }
   // Swallow one line terminator (\n, \r, or \r\n).
   if (i < text.size() && text[i] == '\r') ++i;
   if (i < text.size() && text[i] == '\n') ++i;
   *pos = i;
-  return true;
-}
-
-/// Resumable record-boundary scanner state: where the scan of the current
-/// (incomplete) record stopped and its quote state at that point. Keeping
-/// it across blocks makes the streaming reader linear — a record spanning
-/// many blocks is scanned once, not once per block. Offsets are relative
-/// to the carry buffer; Rebase() keeps them valid when its consumed prefix
-/// is erased.
-struct RecordScan {
-  size_t offset = 0;  // first byte not yet examined
-  bool in_quotes = false;
-  bool field_was_quoted = false;
-  bool field_empty = true;
-
-  void StartRecordAt(size_t pos) { *this = RecordScan{pos}; }
-  void Rebase(size_t erased_prefix) { offset -= erased_prefix; }
-};
-
-/// Returns the offset just past the record whose scan `*scan` tracks (line
-/// terminator swallowed), or npos when the input ends before the record
-/// does — mid-quotes, or without a trailing newline. The streaming reader
-/// uses npos as "wait for the next block" (the scan state persists, so the
-/// next call resumes where this one stopped); ParseRecord is then only
-/// ever fed complete records (EOF remainder aside).
-///
-/// Mirrors ParseRecord's quote rules exactly — in particular, a quote only
-/// OPENS quoting at field start: a stray mid-field '"' is literal data to
-/// both, so the scanner's record boundaries always agree with the parser's
-/// and one unbalanced quote cannot make the reader buffer the rest of the
-/// file (a legitimately unterminated quoted field still buffers to EOF,
-/// where ParseRecord reports it).
-size_t FindRecordEnd(std::string_view text, char delim, RecordScan* scan) {
-  size_t i = scan->offset;
-  for (; i < text.size(); ++i) {
-    const char c = text[i];
-    if (scan->in_quotes) {
-      if (c == '"') {
-        // A quote as the buffer's last byte is ambiguous (closer vs first
-        // half of an escaped ""): stop HERE and let the next block resolve
-        // it (the quote is re-examined with lookahead available).
-        if (i + 1 >= text.size()) break;
-        if (text[i + 1] == '"') {
-          ++i;
-          scan->field_empty = false;
-        } else {
-          scan->in_quotes = false;
-        }
-      } else {
-        scan->field_empty = false;
-      }
-      continue;
-    }
-    if (c == '"' && scan->field_empty && !scan->field_was_quoted) {
-      scan->in_quotes = true;
-      scan->field_was_quoted = true;
-    } else if (c == delim) {
-      scan->field_empty = true;
-      scan->field_was_quoted = false;
-    } else if (c == '\n') {
-      return i + 1;
-    } else if (c == '\r') {
-      // \r\n needs its \n in the buffer to be swallowed as one terminator.
-      if (i + 1 >= text.size()) break;
-      return text[i + 1] == '\n' ? i + 2 : i + 1;
-    } else {
-      scan->field_empty = false;
-    }
-  }
-  scan->offset = i;
-  return std::string_view::npos;
+  return Record::kParsed;
 }
 
 /// Accumulates parsed records into arena-backed columns; shared by the
@@ -232,8 +175,8 @@ Result<Table> ReadCsvString(std::string_view text, const CsvOptions& options,
   // Cells are appended straight into each column's arena: the reusable
   // `fields` scratch is the only per-record string storage, so the parse
   // allocates O(columns) buffers total instead of one per cell.
-  while (ParseRecord(text, &pos, options.delimiter, &fields, &num_fields,
-                     &status)) {
+  while (ParseRecord(text, /*at_eof=*/true, &pos, options.delimiter, &fields,
+                     &num_fields, &status) == Record::kParsed) {
     TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
   }
   TJ_RETURN_IF_ERROR(status);
@@ -260,46 +203,25 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options,
   std::vector<std::string> fields;
   size_t num_fields = 0;
   Status status;
-  RecordScan scan;
-
-  while (in) {
+  // An incomplete record is re-parsed from its start only once the carry
+  // has doubled since the last attempt (or at end of input), so a record
+  // spanning many blocks costs O(its length) in total, not O(length^2).
+  size_t retry_at = 0;
+  for (bool at_eof = false; !at_eof;) {
     in.read(block.data(), static_cast<std::streamsize>(block.size()));
-    const auto got = static_cast<size_t>(in.gcount());
-    if (got == 0) break;
-    buf.append(block.data(), got);
+    if (in.bad()) return Status::IOError("error reading " + path);
+    buf.append(block.data(), static_cast<size_t>(in.gcount()));
+    at_eof = !in;
+    if (!at_eof && buf.size() < retry_at) continue;
     size_t pos = 0;
-    for (;;) {
-      // FindRecordEnd gates availability ("a complete record starts at
-      // pos") and resumes from where the previous block's scan stopped;
-      // ParseRecord decides the boundary — the two agree by construction,
-      // but advancing by the parser's position keeps it the single source
-      // of truth.
-      if (FindRecordEnd(buf, options.delimiter, &scan) ==
-          std::string_view::npos) {
-        break;
-      }
-      if (!ParseRecord(buf, &pos, options.delimiter, &fields, &num_fields,
-                       &status)) {
-        break;
-      }
-      TJ_RETURN_IF_ERROR(status);
+    while (ParseRecord(buf, at_eof, &pos, options.delimiter, &fields,
+                       &num_fields, &status) == Record::kParsed) {
       TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
-      scan.StartRecordAt(pos);
     }
     TJ_RETURN_IF_ERROR(status);
     buf.erase(0, pos);
-    scan.Rebase(pos);
+    retry_at = 2 * buf.size();
   }
-  if (in.bad()) return Status::IOError("error reading " + path);
-
-  // EOF remainder: a final record without a trailing newline (or an
-  // unterminated quote, which ParseRecord reports).
-  size_t pos = 0;
-  while (ParseRecord(buf, &pos, options.delimiter, &fields, &num_fields,
-                     &status)) {
-    TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
-  }
-  TJ_RETURN_IF_ERROR(status);
   return builder.Finish();
 }
 

@@ -113,6 +113,44 @@ TEST(SignatureCache, TruncatedDumpsFailClosed) {
   }
 }
 
+TEST(SignatureCache, MalformedFieldsFailClosed) {
+  const SynthCorpus corpus = SmallCorpus();
+  TableCatalog catalog = BuildCatalog(corpus);
+  catalog.ComputeSignatures();
+  const std::string dump = catalog.SerializeSignatures();
+  const size_t rows = dump.find(" rows=20 ");
+  ASSERT_NE(rows, std::string::npos);
+  const size_t meanlen = dump.find(" meanlen=");
+  const size_t meanlen_end = dump.find(' ', meanlen + 1);
+  ASSERT_NE(meanlen_end, std::string::npos);
+  const auto replaced = [&dump](size_t at, size_t size,
+                                const std::string& with) {
+    std::string text = dump;
+    return text.replace(at, size, with);
+  };
+  // rows=2^32+20 used to be cast down to the table's 20 rows and installed;
+  // text after a line's last field used to be ignored.
+  const std::vector<std::string> bad = {
+      replaced(rows, 9, " rows=4294967316 "),
+      replaced(meanlen, meanlen_end - meanlen, " meanlen=nan"),
+      replaced(meanlen, meanlen_end - meanlen, " meanlen=inf"),
+      replaced(meanlen, meanlen_end - meanlen, " meanlen=-0x1p+0"),
+      replaced(dump.find("\ntable "), 0, " x"),
+      replaced(dump.find("\ncolumn "), 0, " x"),
+      replaced(dump.find("\nminhash "), 0, " x"),
+  };
+  for (const std::string& text : bad) {
+    TableCatalog target = BuildCatalog(corpus);
+    const Status loaded = target.LoadSignatures(text);
+    EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument) << text;
+    ExpectNothingInstalled(target);
+  }
+  // The unedited dump still loads and re-serializes byte for byte.
+  TableCatalog target = BuildCatalog(corpus);
+  ASSERT_TRUE(target.LoadSignatures(dump).ok());
+  EXPECT_EQ(target.SerializeSignatures(), dump);
+}
+
 TEST(SignatureCache, V1DumpFailsClosed) {
   const SynthCorpus corpus = SmallCorpus();
   TableCatalog catalog = BuildCatalog(corpus);

@@ -148,6 +148,18 @@ TEST_F(FailpointRegistryTest, SpecRejectsMalformedInput) {
   EXPECT_FALSE(failpoint::ConfigureFromSpec("site=frobnicate:1").ok());
 }
 
+TEST_F(FailpointRegistryTest, RejectedSpecArmsNothing) {
+  // Each was accepted before (or, for "a;b=p:2", rejected after arming a).
+  for (const char* spec :
+       {"a=p:nan", "a=p: 0.5", "a=hits:99999999999999", "a=seed:-1",
+        "a;b=p:2"}) {
+    const Status status = failpoint::ConfigureFromSpec(spec);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_TRUE(failpoint::ActiveSites().empty()) << spec;
+    failpoint::ClearAll();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Storage degradation under injected faults (needs -DTJ_FAILPOINTS=ON).
 // ---------------------------------------------------------------------------

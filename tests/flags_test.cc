@@ -1,11 +1,14 @@
 // Tests for the table-driven CLI flag parser: strict number and byte-size
-// parsing, range limits, argv handling and generated usage text.
+// parsing (ParseNumber in common/strings.h, shared by every input grammar),
+// range limits, argv handling and generated usage text.
 
 #include "common/flags.h"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,6 +55,29 @@ TEST(Flags, ParseNumberDoubles) {
   for (const char* bad : {"0,1", "abc", "2.0", "-0.5", "nan", "inf", "0.5x",
                           "", "1e999"}) {
     EXPECT_FALSE(ParseNumber(bad, 0.0, 1.0, &d)) << bad;
+  }
+}
+
+TEST(Flags, ParseNumberReadsHexFloatsExactly) {
+  // The signature cache writes meanlen with "%a"; every double must read
+  // back bit for bit.
+  for (const double v : {0.0, 12.0, 0.1, 1.0 / 3.0, 5e-324, DBL_MAX}) {
+    char text[64];
+    std::snprintf(text, sizeof(text), "%a", v);
+    double back = -1.0;
+    EXPECT_TRUE(ParseNumber(text, 0.0, DBL_MAX, &back)) << text;
+    EXPECT_EQ(back, v) << text;
+  }
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("0x1.8p+3", 0.0, 100.0, &d));
+  EXPECT_EQ(d, 12.0);
+  EXPECT_TRUE(ParseNumber("-0x1p-1", -1.0, 1.0, &d));
+  EXPECT_EQ(d, -0.5);
+  for (const char* bad : {"0x", "0x-1p0", "-0x-1p0", "0x1.8p", "0xg",
+                          "0x1p+3 ", "--0x1p0", "0x1p99999", "0x1p+7"}) {
+    d = -7.0;
+    EXPECT_FALSE(ParseNumber(bad, 0.0, 100.0, &d)) << bad;
+    EXPECT_EQ(d, -7.0) << bad;
   }
 }
 

@@ -124,6 +124,34 @@ TEST(TransformationSet, ReportsLineNumberOnError) {
   EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos);
 }
 
+// Each of these aborted the process (an uncaught std::out_of_range or
+// std::invalid_argument from std::stol/std::stoi) or loaded a wrapped
+// number; a rule file is user-editable input and must fail cleanly.
+TEST(TransformationSet, OverflowingIntegerIsInvalidArgument) {
+  const auto parsed =
+      ParseTransformationSet("<Substr(99999999999999999999, 1)>");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TransformationSet, BadHexEscapeIsInvalidArgument) {
+  const auto parsed = ParseTransformationSet("<Literal('\\xZZ')>");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TransformationSet, IntegerBeyondInt32IsInvalidArgumentNotWrapped) {
+  const auto parsed = ParseTransformationSet("<Substr(4294967296, 1)>");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  // The int32 bounds themselves still load.
+  const auto bounds =
+      ParseTransformationSet("<Substr(-2147483648, 2147483647)>");
+  ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+  EXPECT_EQ(bounds->store.Get(bounds->ids[0]).ToString(bounds->units),
+            "<Substr(-2147483648,2147483647)>");
+}
+
 TEST(TransformationSet, FileRoundTrip) {
   UnitInterner units;
   TransformationStore store;

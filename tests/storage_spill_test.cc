@@ -340,6 +340,29 @@ TEST_F(SpillCsvTest, UnterminatedQuoteStillFails) {
   EXPECT_FALSE(result.ok());
 }
 
+TEST_F(SpillCsvTest, ChunkedReaderStaysLinearOnOneHugeRecord) {
+  // One 4 MiB quoted multi-line cell read 64 bytes at a time: a reader
+  // that re-parses the carried record on every block would do ~65k passes
+  // over up to 4 MiB (minutes); retrying only once the carry has doubled
+  // keeps it to ~2x the record. ctest's TIMEOUT for this binary is the
+  // gate.
+  std::string cell;
+  cell.reserve(4 << 20);
+  while (cell.size() < (4u << 20)) {
+    cell += "line with \"\"quotes\"\", commas and a newline\n";
+  }
+  const std::string csv = "id,blob,tail\n1,\"" + cell + "\",end\r\n2,x,y\n";
+  const std::string path = WriteCsv("huge.csv", csv);
+  const auto expected = ReadCsvString(csv);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->num_rows(), 2u);
+  CsvOptions options;
+  options.io_block_bytes = 64;
+  const auto streamed = ReadCsvFile(path, options);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  ExpectSameTable(*expected, *streamed);
+}
+
 // ---------------------------------------------------------------------------
 // Catalog-level eviction, budget enforcement, and the warn-skip scan.
 // ---------------------------------------------------------------------------
@@ -420,6 +443,46 @@ TEST_F(SpillTest, IncrementalRebuildLeavesEvictedTablesEvicted) {
   EXPECT_EQ(incremental.pruned_pairs, scratch.pruned_pairs);
   ASSERT_FALSE(scratch.shortlist.empty());
   EXPECT_TRUE(incremental.shortlist == scratch.shortlist);
+}
+
+TEST_F(SpillTest, LoadSignaturesLeavesEvictedTablesEvicted) {
+  // Checking a cached column's row count needs only the slot count, so
+  // loading a signature cache into a budgeted spilled catalog (tjd and the
+  // CLI with --signatures) must not re-map evicted tables.
+  SynthCorpusOptions corpus_options;
+  corpus_options.num_joinable_pairs = 20;
+  corpus_options.num_noise_tables = 10;
+  corpus_options.rows = 200;
+  const SynthCorpus corpus = GenerateSynthCorpus(corpus_options);
+  TableCatalog source;
+  TableCatalog catalog(SignatureOptions(), Storage(/*budget=*/8 << 10));
+  for (const Table& table : corpus.tables) {
+    ASSERT_TRUE(source.AddTable(table).ok());
+    ASSERT_TRUE(catalog.AddTable(table).ok());
+  }
+  source.ComputeSignatures();
+  const std::string dump = source.SerializeSignatures();
+  const auto resident_tables = [&catalog] {
+    size_t resident = 0;
+    for (uint32_t t = 0; t < catalog.num_slots(); ++t) {
+      if (catalog.IsLive(t) && catalog.SharedTable(t)->resident()) {
+        ++resident;
+      }
+    }
+    return resident;
+  };
+  const size_t tables_before = resident_tables();
+  const size_t bytes_before = catalog.ResidentCellBytes();
+  ASSERT_LT(tables_before, catalog.num_tables());
+
+  ASSERT_TRUE(catalog.LoadSignatures(dump).ok());
+  EXPECT_EQ(resident_tables(), tables_before);
+  EXPECT_EQ(catalog.ResidentCellBytes(), bytes_before);
+  for (const ColumnRef ref : catalog.AllColumns()) {
+    ASSERT_TRUE(catalog.HasSignature(ref));
+    EXPECT_TRUE(catalog.signature(ref) == source.signature(ref));
+  }
+  EXPECT_EQ(catalog.SerializeSignatures(), dump);
 }
 
 TEST_F(SpillTest, AddCsvDirectorySkipsBadFilesWithWarning) {
