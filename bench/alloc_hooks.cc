@@ -1,9 +1,9 @@
 // Replacement global operator new/delete that tick the library's allocation
-// counters (common/alloc_stats.h). Compiled ONLY into the executables that
-// measure allocations (bench_table2 and the tj_alloc_tests binary) — linking
-// this TU routes every allocation of the process through malloc/free plus
-// two relaxed atomic adds, which is measurement overhead the other tests
-// and the examples do not need to pay.
+// counters (common/alloc_stats.h). Compiled ONLY into the tj_alloc_tests
+// binary, which bounds the index build's allocation count — linking this TU
+// routes every allocation of the process through malloc/free plus two
+// relaxed atomic adds, which is measurement overhead the other tests, the
+// report benches and the examples do not need to pay.
 
 #include <cstdlib>
 #include <new>

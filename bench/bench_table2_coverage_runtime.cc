@@ -12,57 +12,19 @@
 // Paper shape: our coverage ~1.00 everywhere, Auto-Join <= 0.45 with runtimes
 // 3-4 orders of magnitude larger (often hitting the time cap).
 
-// With --json PATH the bench additionally writes a machine-readable record:
-// the coverage/runtime summary plus the storage-core metrics — cells-bytes
-// (column arena footprint of the whole suite) and the flat CSR index
-// build's allocation count (tests/alloc_index_build_test.cc bounds the
-// same count on a fixed corpus; here it is a recorded number).
-
 #include <cstdio>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "benchlib/report.h"
-#include "benchlib/storage_metrics.h"
 #include "benchlib/suite.h"
-#include "common/perf_counters.h"
-#include "common/simd.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 
 namespace tj {
 namespace {
 
-/// Per-panel aggregate for the JSON record.
-struct PanelSummary {
-  double mean_top_cov = 0.0;
-  double mean_coverage = 0.0;
-  double seconds = 0.0;
-};
-
-/// Storage-core metrics over the whole suite: arena footprint of every
-/// table, index-build allocations over every join column.
-StorageMetrics MeasureStorage(const std::vector<BenchDataset>& suite) {
-  StorageMetrics m;
-  for (const BenchDataset& dataset : suite) {
-    for (const TablePair& pair : dataset.tables) {
-      m.AddCells(pair.source);
-      m.AddCells(pair.target);
-      m.MeasureColumn(pair.SourceColumn());
-      m.MeasureColumn(pair.TargetColumn());
-    }
-  }
-  // Fill the peak once here so the printed summary and the JSON tail
-  // report the same sample.
-  m.peak_rss_bytes = PeakRssBytes();
-  return m;
-}
-
-PanelSummary RunPanel(const std::vector<BenchDataset>& suite,
-                      MatchingMode matching, ThreadPool* pool,
-                      const char* title) {
-  PanelSummary summary;
+void RunPanel(const std::vector<BenchDataset>& suite, MatchingMode matching,
+              ThreadPool* pool, const char* title) {
   std::printf("-- %s --\n", title);
   TablePrinter table({"Dataset", "TopCov", "(AJ)", "Coverage", "(AJ)",
                       "#Trans", "(AJ)", "Time", "(AJ Time)"});
@@ -102,96 +64,27 @@ PanelSummary RunPanel(const std::vector<BenchDataset>& suite,
          StrPrintf("(%.2f)", Mean(aj_ntrans)), FormatSeconds(seconds),
          StrPrintf("(%s%s)", FormatSeconds(aj_seconds).c_str(),
                    aj_any_timeout ? ", capped" : "")});
-    summary.mean_top_cov += Mean(top);
-    summary.mean_coverage += Mean(cover);
-    summary.seconds += seconds;
-  }
-  if (!suite.empty()) {
-    summary.mean_top_cov /= static_cast<double>(suite.size());
-    summary.mean_coverage /= static_cast<double>(suite.size());
   }
   table.Print();
   std::printf("\n");
-  return summary;
 }
 
-int Run(const std::string& json_path) {
-  // Counters first: events opened here are inherited by the pool's worker
-  // threads (constructed below), so panel deltas charge parallel work too.
-  PerfCounterGroup perf;
-  perf.Open();
-
+void Run() {
   std::printf("== Table 2: Coverage and runtime, ours vs Auto-Join ==\n");
-  std::printf("(simd=%s, perf counters %s)\n",
-              simd::SimdLevelName(simd::ActiveLevel()),
-              perf.available() ? "on" : "unavailable");
   std::printf(
       "(Auto-Join runs under a per-table wall budget; 'capped' marks runs "
       "that\nhit it, the analogue of the paper's 650,000s cap.)\n\n");
   const SuiteOptions options = SuiteOptionsFromEnv();
   const std::vector<BenchDataset> suite = BuildSuite(options);
   ThreadPool pool(options.num_threads);
-  const PerfSample before_ngram = perf.Read();
-  const PanelSummary ngram =
-      RunPanel(suite, MatchingMode::kNgram, &pool, "N-gram row matching");
-  const PerfSample before_golden = perf.Read();
-  const PanelSummary golden =
-      RunPanel(suite, MatchingMode::kGolden, &pool, "Golden row matching");
-  const PerfSample ngram_perf = before_golden.Since(before_ngram);
-  const PerfSample golden_perf = perf.Read().Since(before_golden);
-
-  const StorageMetrics storage = MeasureStorage(suite);
-  PrintStorageSummary(storage);
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"bench_table2\",\n"
-        "  \"threads\": %d,\n"
-        "  \"scale\": %.3f,\n"
-        "  \"ngram_mean_top_cov\": %.6f,\n"
-        "  \"ngram_mean_coverage\": %.6f,\n"
-        "  \"ngram_seconds\": %.6f,\n"
-        "  \"golden_mean_top_cov\": %.6f,\n"
-        "  \"golden_mean_coverage\": %.6f,\n"
-        "  \"golden_seconds\": %.6f,\n",
-        ResolveNumThreads(options.num_threads), options.scale,
-        ngram.mean_top_cov, ngram.mean_coverage, ngram.seconds,
-        golden.mean_top_cov, golden.mean_coverage, golden.seconds);
-    std::fprintf(f,
-                 "  \"simd_level\": \"%s\",\n"
-                 "  \"simd_best_level\": \"%s\",\n"
-                 "  \"perf_counters_available\": %s,\n",
-                 simd::SimdLevelName(simd::ActiveLevel()),
-                 simd::SimdLevelName(simd::BestSupportedLevel()),
-                 perf.available() ? "true" : "false");
-    WritePerfPhaseJson(f, "ngram", ngram_perf);
-    WritePerfPhaseJson(f, "golden", golden_perf);
-    WriteStorageJsonTail(f, storage);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+  RunPanel(suite, MatchingMode::kNgram, &pool, "N-gram row matching");
+  RunPanel(suite, MatchingMode::kGolden, &pool, "Golden row matching");
 }
 
 }  // namespace
 }  // namespace tj
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
-  return tj::Run(json_path);
+int main() {
+  tj::Run();
+  return 0;
 }

@@ -5,7 +5,6 @@
 //   corpus_discovery_tool <csv-dir> --serve SOCKET [--watch DIR] [flags]
 //   corpus_discovery_tool --client SOCKET JSON...
 //   corpus_discovery_tool --gen DIR [--tables N] [--rows N] [--seed S]
-//   corpus_discovery_tool --selftest
 //
 // (run without arguments for the flag list; each flag applies to the modes
 // its help names, --simd to all of them)
@@ -33,11 +32,8 @@
 // the live catalog. --client is the matching one-shot request sender
 // (each JSON argument is sent as one frame; responses print one per line).
 //
-// --gen writes a
-// synthetic demo corpus (joinable pairs + noise tables) to a directory;
-// --selftest runs a set of named end-to-end checks on an in-memory corpus,
-// prints each failing check by name, and exits with the number of failed
-// checks (used as a ctest smoke test).
+// --gen writes a synthetic demo corpus (joinable pairs + noise tables) to a
+// directory.
 
 #include <csignal>
 #include <cstdint>
@@ -94,182 +90,6 @@ tj::Status GenerateDemoCorpus(const std::string& dir, size_t tables,
   return tj::Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// --selftest: named end-to-end checks. Each check prints its own failure
-// detail; the driver prints a per-check verdict line so a ctest log
-// pinpoints exactly which guarantee regressed.
-// ---------------------------------------------------------------------------
-
-tj::Status BuildSelfTestCatalog(const tj::SynthCorpus& corpus,
-                                tj::TableCatalog* catalog) {
-  for (const tj::Table& table : corpus.tables) {
-    TJ_RETURN_IF_ERROR(catalog->AddTable(table).status());
-  }
-  return tj::Status::OK();
-}
-
-/// Each check returns OK or an error whose message says what broke.
-///
-/// Pruning + golden recall of the end-to-end pipeline (the original smoke
-/// check, split so failures name the broken half).
-tj::Status CheckPruningRatio(const tj::CorpusDiscoveryResult& result) {
-  if (result.PruningRatio() > 0.9) return tj::Status::OK();
-  return tj::Status::Internal(tj::StrPrintf(
-      "expected > 90%% pruning, got %.1f%%", 100.0 * result.PruningRatio()));
-}
-
-tj::Status CheckGoldenJoins(const tj::SynthCorpus& corpus,
-                            const tj::CorpusDiscoveryResult& result) {
-  for (const auto& golden : corpus.golden) {
-    bool found = false;
-    for (const tj::CorpusPairResult& pair : result.results) {
-      const bool matches =
-          (pair.source.table == golden.source_table &&
-           pair.target.table == golden.target_table) ||
-          (pair.source.table == golden.target_table &&
-           pair.target.table == golden.source_table);
-      found = found || (matches && pair.joined_rows > 0);
-    }
-    if (!found) {
-      return tj::Status::Internal(
-          "golden pair " + corpus.tables[golden.source_table].name() +
-          " <-> " + corpus.tables[golden.target_table].name() +
-          " not joined");
-    }
-  }
-  return tj::Status::OK();
-}
-
-/// Incremental add/remove must match a from-scratch shortlist rebuild.
-tj::Status CheckIncrementalEquivalence(const tj::SynthCorpus& corpus) {
-  tj::TableCatalog catalog;
-  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &catalog));
-  catalog.ComputeSignatures();
-  const tj::PairPrunerOptions pruner_options;
-  tj::IncrementalPairPruner pruner(pruner_options);
-  pruner.Rebuild(catalog);
-
-  // Add a table from a differently-prefixed corpus, remove one original.
-  tj::SynthCorpusOptions extra_options;
-  extra_options.num_joinable_pairs = 1;
-  extra_options.num_noise_tables = 0;
-  extra_options.rows = 30;
-  extra_options.seed = 99;
-  extra_options.name_prefix = "inc";
-  const tj::SynthCorpus extra = tj::GenerateSynthCorpus(extra_options);
-
-  TJ_ASSIGN_OR_RETURN(const uint32_t added, catalog.AddTable(extra.tables[0]));
-  catalog.ComputeSignatures();
-  pruner.OnTableAdded(catalog, added);
-
-  const std::string removed_name = corpus.tables[0].name();
-  TJ_ASSIGN_OR_RETURN(const uint32_t removed_id,
-                      catalog.TableIndex(removed_name));
-  TJ_RETURN_IF_ERROR(catalog.RemoveTable(removed_name));
-  pruner.OnTableRemoved(removed_id);
-
-  const tj::PairPrunerResult incremental = pruner.Snapshot();
-  const tj::PairPrunerResult scratch =
-      tj::ShortlistPairs(catalog, pruner_options);
-  if (incremental.total_pairs != scratch.total_pairs ||
-      incremental.pruned_pairs != scratch.pruned_pairs ||
-      incremental.shortlist.size() != scratch.shortlist.size()) {
-    return tj::Status::Internal(tj::StrPrintf(
-        "totals diverge: incremental %zu/%zu/%zu vs scratch %zu/%zu/%zu",
-        incremental.total_pairs, incremental.pruned_pairs,
-        incremental.shortlist.size(), scratch.total_pairs,
-        scratch.pruned_pairs, scratch.shortlist.size()));
-  }
-  for (size_t i = 0; i < scratch.shortlist.size(); ++i) {
-    if (incremental.shortlist[i] != scratch.shortlist[i]) {
-      return tj::Status::Internal(
-          tj::StrPrintf("shortlist diverges at rank %zu", i));
-    }
-  }
-  return tj::Status::OK();
-}
-
-/// The v2 signature cache must round-trip, and a stale entry (table content
-/// changed since the cache was written) must self-invalidate on reload.
-tj::Status CheckCacheInvalidation(const tj::SynthCorpus& corpus) {
-  tj::TableCatalog catalog;
-  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &catalog));
-  catalog.ComputeSignatures();
-  const std::string dump = catalog.SerializeSignatures();
-
-  tj::TableCatalog reloaded;
-  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &reloaded));
-  TJ_RETURN_IF_ERROR(reloaded.LoadSignatures(dump));
-  for (const tj::ColumnRef ref : reloaded.AllColumns()) {
-    if (!reloaded.HasSignature(ref)) {
-      return tj::Status::Internal("round-trip left a column unsigned");
-    }
-  }
-
-  // Mutate one table: its cache block must be skipped on reload.
-  tj::TableCatalog stale;
-  TJ_RETURN_IF_ERROR(BuildSelfTestCatalog(corpus, &stale));
-  tj::Table mutated = corpus.tables[0];
-  mutated.mutable_column(0).Set(0, "mutated-cell-value");
-  TJ_ASSIGN_OR_RETURN(const uint32_t mutated_id,
-                      stale.UpdateTable(std::move(mutated)));
-  // A stale block is skipped, not fatal.
-  TJ_RETURN_IF_ERROR(stale.LoadSignatures(dump));
-  if (stale.HasSignature(tj::ColumnRef{mutated_id, 0})) {
-    return tj::Status::Internal("stale sketch was served for a mutated table");
-  }
-
-  // Malformed input fails closed.
-  if (stale.LoadSignatures("# tj-signatures v2\ngarbage\n").ok()) {
-    return tj::Status::Internal("malformed dump was accepted");
-  }
-  return tj::Status::OK();
-}
-
-int SelfTest() {
-  tj::SynthCorpusOptions corpus_options;
-  corpus_options.num_joinable_pairs = 4;
-  corpus_options.num_noise_tables = 2;
-  corpus_options.rows = 30;
-  corpus_options.seed = 5;
-  const tj::SynthCorpus corpus = tj::GenerateSynthCorpus(corpus_options);
-  tj::TableCatalog catalog;
-  const tj::Status built = BuildSelfTestCatalog(corpus, &catalog);
-  if (!built.ok()) {
-    std::fprintf(stderr, "selftest: cannot build catalog: %s\n",
-                 built.ToString().c_str());
-    return 1;
-  }
-  tj::CorpusDiscoveryOptions options;
-  options.num_threads = 2;
-  const tj::CorpusDiscoveryResult result =
-      tj::DiscoverJoinableColumns(&catalog, options);
-  std::printf("%s", result.Describe(catalog).c_str());
-
-  const std::pair<const char*, tj::Status> checks[] = {
-      {"pruning-ratio", CheckPruningRatio(result)},
-      {"golden-joins", CheckGoldenJoins(corpus, result)},
-      {"incremental-equivalence", CheckIncrementalEquivalence(corpus)},
-      {"cache-invalidation", CheckCacheInvalidation(corpus)},
-  };
-  int failed = 0;
-  for (const auto& [name, status] : checks) {
-    std::printf("selftest check %-26s %s\n", name,
-                status.ok() ? "OK" : "FAIL");
-    if (!status.ok()) {
-      std::fprintf(stderr, "  %s\n", status.ToString().c_str());
-      ++failed;
-    }
-  }
-  if (failed != 0) {
-    std::fprintf(stderr, "selftest: %d check(s) failed\n", failed);
-    return failed;
-  }
-  std::printf("selftest: OK (%zu pairs evaluated, %.1f%% pruned)\n",
-              result.results.size(), 100.0 * result.PruningRatio());
-  return 0;
-}
-
 struct MaintenanceOp {
   enum Kind { kAdd, kRemove, kUpdate } kind;
   std::string arg;  // CSV path for add/update, table name for remove
@@ -308,9 +128,7 @@ tj::Status ApplyOp(const MaintenanceOp& op, const tj::StorageOptions& storage,
 
 // The tool's modes, as bits of Flag::modes. Batch discovery is the default;
 // a mode flag switches to one of the others.
-enum Mode : unsigned {
-  kBatch = 1, kServe = 2, kGen = 4, kClient = 8, kSelfTest = 16
-};
+enum Mode : unsigned { kBatch = 1, kServe = 2, kGen = 4, kClient = 8 };
 constexpr unsigned kDiscovery = kBatch | kServe;
 
 const std::vector<std::string_view> kSynopsis = {
@@ -318,7 +136,6 @@ const std::vector<std::string_view> kSynopsis = {
     "<csv-dir> --serve SOCKET [--watch DIR] [flags]",
     "--client SOCKET JSON...",
     "--gen DIR [--tables N] [--rows N] [--seed S]",
-    "--selftest",
 };
 
 struct Args {
@@ -355,7 +172,7 @@ std::vector<tj::flags::Flag> Flags(Args* a) {
     return Flag{name, value, help, [=](std::string_view v) {
                   if (a->mode != kBatch && a->mode != m) {
                     return Status::InvalidArgument(
-                        "only one of --serve, --client, --gen, --selftest");
+                        "only one of --serve, --client, --gen");
                   }
                   a->mode = m;
                   a->mode_name = name;
@@ -428,10 +245,6 @@ std::vector<tj::flags::Flag> Flags(Args* a) {
                      1, SIZE_MAX),
        flags::Number("--seed", "S", "generator seed (default 1)", &a->seed, 0,
                      UINT64_MAX)});
-  add(kSelfTest, {mode("--selftest", "",
-                       "run the named end-to-end checks; exit with the "
-                       "number of failures",
-                       kSelfTest)});
   rows.push_back(flags::Simd());  // every mode
   return rows;
 }
@@ -655,7 +468,7 @@ int main(int argc, char** argv) {
   Status parsed = table.Parse(argc, argv, &positional);
   if (parsed.ok()) parsed = table.CheckMode(args.mode, args.mode_name);
   // Batch and serve runs name one corpus directory; a client sends at
-  // least one request; --gen and --selftest take no arguments.
+  // least one request; --gen takes no arguments.
   const bool arguments_fit =
       (args.mode & kDiscovery) != 0 ? positional.size() == 1
       : args.mode == kClient        ? !positional.empty()
@@ -687,7 +500,6 @@ int main(int argc, char** argv) {
                  pruner.lsh.bands, pruner.lsh.rows_per_band);
   }
 
-  if (args.mode == kSelfTest) return SelfTest();
   const Status ran =
       args.mode == kClient ? RunClient(args.mode_arg, positional)
       : args.mode == kGen

@@ -1,10 +1,14 @@
 #include "table/spill_arena.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <string_view>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include "common/strings.h"
@@ -29,6 +33,45 @@ std::string NextSpillPath(const std::string& dir) {
       .string();
 }
 
+/// The pid in a spill file name made by NextSpillPath, or 0 when `name`
+/// is not one.
+pid_t SpillFilePid(std::string_view name) {
+  constexpr std::string_view kPrefix = "tj-spill-";
+  constexpr std::string_view kSuffix = ".bytes";
+  if (!name.starts_with(kPrefix) || !name.ends_with(kSuffix)) return 0;
+  name = name.substr(kPrefix.size(),
+                     name.size() - kPrefix.size() - kSuffix.size());
+  const size_t dash = name.find('-');
+  pid_t pid = 0;
+  uint64_t seq = 0;
+  if (dash == std::string_view::npos ||
+      !ParseNumber<pid_t>(name.substr(0, dash), 1,
+                          std::numeric_limits<pid_t>::max(), &pid) ||
+      !ParseNumber<uint64_t>(name.substr(dash + 1), 0,
+                             std::numeric_limits<uint64_t>::max(), &seq)) {
+    return 0;
+  }
+  return pid;
+}
+
+/// Removes the spill files in `dir` whose process is gone: a crashed run
+/// never reaches the unlink at arena death. A file is kept unless kill(pid,
+/// 0) answers ESRCH, so the files of live processes (EPERM included) and
+/// of this one survive. Best effort: an unreadable entry is skipped.
+void SweepOrphanedSpillFiles(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const pid_t pid = SpillFilePid(it->path().filename().string());
+    if (pid == 0 || pid == ::getpid()) continue;
+    if (::kill(pid, 0) != 0 && errno == ESRCH) {
+      std::error_code ignored;
+      fs::remove(it->path(), ignored);
+    }
+  }
+}
+
 }  // namespace
 
 Status EnsureSpillDir(const std::string& dir) {
@@ -38,6 +81,7 @@ Status EnsureSpillDir(const std::string& dir) {
     return Status::IOError("cannot create spill directory " + dir + ": " +
                            ec.message());
   }
+  SweepOrphanedSpillFiles(dir);
   return MmapFile::Create(NextSpillPath(dir)).status();
 }
 

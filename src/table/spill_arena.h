@@ -8,8 +8,8 @@
 // File layout: each arena owns one file `tj-spill-<pid>-<seq>.bytes` inside
 // the configured spill directory (created on demand). Files are opened
 // O_EXCL, sized geometrically as the arena grows, and unlinked when the
-// arena dies — a crash leaves stale `tj-spill-*` files behind, which any
-// later run may delete.
+// arena dies. A crash leaves its files behind; EnsureSpillDir removes those
+// whose pid is dead.
 
 #ifndef TJ_TABLE_SPILL_ARENA_H_
 #define TJ_TABLE_SPILL_ARENA_H_
@@ -25,9 +25,10 @@
 
 namespace tj {
 
-/// Creates `dir` (and parents) if missing and probes that spill files can
-/// be created inside it. CLI front ends call this once up front so a bad
-/// --spill-dir fails fast instead of warning per column.
+/// Creates `dir` (and parents) if missing, removes the spill files in it
+/// whose process has died (`kill(pid, 0)` answers ESRCH), and probes that
+/// spill files can be created inside it. CLI front ends call this once up
+/// front so a bad --spill-dir fails fast instead of warning per column.
 Status EnsureSpillDir(const std::string& dir);
 
 class SpillArena final : public ArenaBackend {

@@ -1,5 +1,6 @@
 // Seeded mutation fuzzing of the input grammars: the CSV reader, the
-// signature cache, the rule file, the failpoint spec and ParseByteSize.
+// signature cache, the rule file, the failpoint spec, ParseByteSize, and
+// the daemon's JSON parser and frame reader.
 // Each test mutates valid seed inputs (byte flips, inserts, deletes,
 // splices, and digit runs grown until they overflow) for a fixed number of
 // iterations and checks a property that must hold for every input, valid
@@ -7,6 +8,7 @@
 // and the input, so it replays exactly.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -24,6 +26,7 @@
 #include "core/transformation.h"
 #include "corpus/catalog.h"
 #include "datagen/corpus.h"
+#include "serve/protocol.h"
 #include "table/csv.h"
 
 namespace tj {
@@ -251,6 +254,90 @@ TEST(FuzzParsers, RejectedFailpointSpecArmsNothing) {
     (void)ParseByteSize(text, &bytes);  // must simply not abort
   });
   failpoint::ClearAll();
+}
+
+TEST(FuzzParsers, AcceptedJsonIsAFixedPoint) {
+  const std::vector<std::string> seeds = {
+      R"({"op":"joinable","column":"synth00-src.value","top":5})",
+      R"({"op":"transform-join","source":"a.name","target":"b.author",)"
+      R"("support":0.05})",
+      R"({"ok":true,"epoch":3,"results":[{"score":0.91,"rules":)"
+      R"(["<Split(',',1)>"]},null,false,-1.5e-3,12345678901234567890]})",
+      R"( ["é\u00e9\ud83d\ude00","esc\"\\\/\b\f\n\r\t",[],{},-0,1E300] )",
+  };
+  Fuzz(seeds, 20000, [](const std::string& text, Rng*, bool* ok) {
+    const auto parsed = serve::JsonValue::Parse(text);
+    *ok = parsed.ok();
+    if (!*ok) {
+      ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      return;
+    }
+    const std::string saved = parsed->Serialize();
+    const auto reparsed = serve::JsonValue::Parse(saved);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+    ASSERT_EQ(reparsed->Serialize(), saved);
+  });
+}
+
+/// One frame as the daemon writes it: 4-byte little-endian length, payload.
+std::string Frame(std::string_view payload) {
+  std::string frame;
+  for (int shift = 0; shift < 32; shift += 8) {
+    frame.push_back(static_cast<char>((payload.size() >> shift) & 0xFF));
+  }
+  frame.append(payload);
+  return frame;
+}
+
+TEST(FuzzParsers, ReadFrameFollowsTheFramingOfAnyStream) {
+  constexpr size_t kMaxBytes = 32;
+  const std::vector<std::string> seeds = {
+      Frame(R"({"op":"stats"})") + Frame("") + Frame("[1,2,3]"),
+      Frame(R"({"op":"shutdown"})"),
+      Frame(std::string(kMaxBytes, 'x')) + Frame("null"),
+  };
+  Fuzz(seeds, 5000, [](const std::string& stream, Rng*, bool* ok) {
+    struct SocketPair {
+      int fds[2] = {-1, -1};
+      ~SocketPair() {
+        for (const int fd : fds) {
+          if (fd >= 0) ::close(fd);
+        }
+      }
+    } pair;
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair.fds), 0);
+    ASSERT_EQ(::write(pair.fds[1], stream.data(), stream.size()),
+              static_cast<ssize_t>(stream.size()));
+    ASSERT_EQ(::shutdown(pair.fds[1], SHUT_WR), 0);
+    // Walk the stream as ReadFrame must: a clean end between frames is
+    // NotFound, a prefix over kMaxBytes InvalidArgument, a cut prefix or
+    // payload IOError.
+    size_t at = 0;
+    for (;;) {
+      const size_t left = stream.size() - at;
+      uint32_t length = 0;
+      for (size_t i = 0; i < 4 && i < left; ++i) {
+        length |= static_cast<uint32_t>(
+                      static_cast<unsigned char>(stream[at + i]))
+                  << (8 * i);
+      }
+      const StatusCode want =
+          left == 0                ? StatusCode::kNotFound
+          : left < 4               ? StatusCode::kIOError
+          : length > kMaxBytes     ? StatusCode::kInvalidArgument
+          : left - 4 < length      ? StatusCode::kIOError
+                                   : StatusCode::kOk;
+      const auto frame = serve::ReadFrame(pair.fds[0], kMaxBytes);
+      ASSERT_EQ(frame.status().code(), want)
+          << "at byte " << at << ": " << frame.status().ToString();
+      if (!frame.ok()) {
+        *ok = want == StatusCode::kNotFound;
+        return;
+      }
+      ASSERT_EQ(*frame, stream.substr(at + 4, length));
+      at += 4 + length;
+    }
+  });
 }
 
 }  // namespace

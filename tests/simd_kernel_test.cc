@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/perf_counters.h"
 #include "common/simd.h"
 #include "common/strings.h"
 #include "corpus/catalog.h"
@@ -479,42 +478,6 @@ TEST(PipelineIdentity, DiscoveryIdenticalScalarVsBestSimd) {
       ExpectIdenticalDiscovery(per_level[0], per_level[1], context);
     }
   }
-}
-
-TEST(PerfCounters, GroupDegradesGracefullyAndDeltasClamp) {
-  PerfCounterGroup group;
-  const bool opened = group.Open();
-  EXPECT_EQ(opened, group.available());
-  const PerfSample begin = group.Read();
-  EXPECT_EQ(begin.available, group.available());
-  if (group.available()) {
-    // Burn some instructions; counters are cumulative, so a later read
-    // minus an earlier one is non-negative by construction.
-    volatile uint64_t sink = 0;
-    for (uint64_t i = 0; i < 100000; ++i) sink = sink + Mix64(i);
-    const PerfSample end = group.Read();
-    const PerfSample delta = end.Since(begin);
-    EXPECT_TRUE(delta.available);
-    EXPECT_GT(delta.instructions, 0u);
-    EXPECT_GE(end.cycles, begin.cycles);
-  } else {
-    // Unprivileged container: everything reads zero, nothing crashes.
-    EXPECT_EQ(begin.cycles, 0u);
-    EXPECT_EQ(begin.instructions, 0u);
-  }
-  // Since() clamps per counter instead of underflowing.
-  PerfSample older;
-  older.available = true;
-  older.cycles = 100;
-  PerfSample newer;
-  newer.available = true;
-  newer.cycles = 40;  // "regressed" (e.g. degraded mid-run)
-  newer.instructions = 7;
-  const PerfSample clamped = newer.Since(older);
-  EXPECT_EQ(clamped.cycles, 0u);
-  EXPECT_EQ(clamped.instructions, 7u);
-  // Ipc guards division by zero.
-  EXPECT_EQ(PerfSample().Ipc(), 0.0);
 }
 
 }  // namespace

@@ -85,6 +85,23 @@ TEST_F(SpillTest, SpillFileRemovedWithColumn) {
   EXPECT_EQ(SpillFileCount(), 0u);
 }
 
+TEST_F(SpillTest, EnsureSpillDirSweepsOnlyFilesOfDeadPids) {
+  const auto touch = [this](const std::string& name) {
+    std::ofstream(dir_ / name) << "orphan";
+    return dir_ / name;
+  };
+  // Linux pids stay below PID_MAX_LIMIT (4194304), so this pid is dead.
+  const auto dead = touch("tj-spill-4194305-0.bytes");
+  const auto own =
+      touch("tj-spill-" + std::to_string(::getpid()) + "-999999.bytes");
+  const auto off_pattern = touch("tj-spill-4194305.bytes");  // no sequence
+  ASSERT_TRUE(EnsureSpillDir(dir_.string()).ok());
+  EXPECT_FALSE(std::filesystem::exists(dead));
+  EXPECT_TRUE(std::filesystem::exists(own));
+  EXPECT_TRUE(std::filesystem::exists(off_pattern));
+  EXPECT_EQ(SpillFileCount(), 2u);  // the probe file is gone too
+}
+
 TEST_F(SpillTest, MoveKeepsViewsValid) {
   Column original = Column::WithStorage("c", Storage());
   original.Append("alpha");
