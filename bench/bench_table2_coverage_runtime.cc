@@ -37,7 +37,7 @@ void RunPanel(const std::vector<BenchDataset>& suite, MatchingMode matching,
     std::vector<double> aj_cover;
     std::vector<double> aj_ntrans;
     double aj_seconds = 0.0;
-    bool aj_any_timeout = false;
+    bool aj_any_capped = false;
     const std::vector<DiscoveryEval> ours_all =
         EvaluateDiscoveryAll(dataset, matching, pool);
     for (const DiscoveryEval& ours : ours_all) {
@@ -46,16 +46,13 @@ void RunPanel(const std::vector<BenchDataset>& suite, MatchingMode matching,
       ntrans.push_back(static_cast<double>(ours.num_transformations));
       seconds += ours.seconds;
     }
-    // Auto-Join runs under a per-table wall budget, so it stays sequential:
-    // fanning budgeted runs out would let scheduling skew what each pair
-    // accomplishes inside its cap.
     for (const TablePair& pair : dataset.tables) {
       const AutoJoinEval aj = EvaluateAutoJoin(pair, dataset, matching);
       aj_top.push_back(aj.top_coverage);
       aj_cover.push_back(aj.union_coverage);
       aj_ntrans.push_back(static_cast<double>(aj.num_transformations));
       aj_seconds += aj.seconds;
-      aj_any_timeout |= aj.timed_out;
+      aj_any_capped |= aj.capped;
     }
     table.AddRow(
         {dataset.name, FormatDouble(Mean(top), 2),
@@ -63,7 +60,7 @@ void RunPanel(const std::vector<BenchDataset>& suite, MatchingMode matching,
          StrPrintf("(%.2f)", Mean(aj_cover)), FormatDouble(Mean(ntrans), 2),
          StrPrintf("(%.2f)", Mean(aj_ntrans)), FormatSeconds(seconds),
          StrPrintf("(%s%s)", FormatSeconds(aj_seconds).c_str(),
-                   aj_any_timeout ? ", capped" : "")});
+                   aj_any_capped ? ", capped" : "")});
   }
   table.Print();
   std::printf("\n");
@@ -72,8 +69,9 @@ void RunPanel(const std::vector<BenchDataset>& suite, MatchingMode matching,
 void Run() {
   std::printf("== Table 2: Coverage and runtime, ours vs Auto-Join ==\n");
   std::printf(
-      "(Auto-Join runs under a per-table wall budget; 'capped' marks runs "
-      "that\nhit it, the analogue of the paper's 650,000s cap.)\n\n");
+      "(Auto-Join runs under a per-table budget of enumerated units; "
+      "'capped' marks\nruns that spent it, the analogue of the paper's "
+      "650,000s cap.)\n\n");
   const SuiteOptions options = SuiteOptionsFromEnv();
   const std::vector<BenchDataset> suite = BuildSuite(options);
   ThreadPool pool(options.num_threads);

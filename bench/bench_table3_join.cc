@@ -26,7 +26,7 @@ PrfMetrics RunAutoJoinJoin(const TablePair& pair, const BenchDataset& config) {
   const std::vector<ExamplePair> rows =
       LearningPairs(pair, config, MatchingMode::kNgram);
   AutoJoinOptions options;
-  options.time_budget_seconds = config.autojoin_budget_seconds;
+  options.unit_budget = config.autojoin_unit_budget;
   AutoJoinResult result = RunAutoJoin(rows, options);
   const std::vector<RowPair> joined =
       ApplyAndEquiJoin(pair.SourceColumn(), pair.TargetColumn(), result.store,

@@ -207,12 +207,6 @@ std::vector<tj::flags::Flag> Flags(Args* a) {
                     "inverted-index cache budget (default 256m, 0 = "
                     "unlimited); per epoch with --serve",
                     &a->serve.index_cache_budget_bytes),
-       flags::Number("--lsh-bands", "N",
-                     "LSH probe bands of the live pruner (default 128 x 1 "
-                     "row: lossless; coarser trades recall for speed)",
-                     &a->options.pruner.lsh.bands, 1, SIZE_MAX),
-       flags::Number("--lsh-rows", "N", "rows per LSH band",
-                     &a->options.pruner.lsh.rows_per_band, 1, SIZE_MAX),
        flags::Failpoints()});
   add(kBatch,
       {flags::Number("--top", "K", "print the top K results (default 20)",
@@ -333,7 +327,7 @@ tj::Status Discover(Args* args, const std::string& dir) {
   if (storage.spill_enabled()) {
     TJ_RETURN_IF_ERROR(EnsureSpillDir(storage.spill_dir));
   }
-  TableCatalog catalog(SignatureOptions(), storage);
+  TableCatalog catalog(storage);
   TJ_ASSIGN_OR_RETURN(const auto loaded, catalog.AddCsvDirectory(dir));
   if (loaded.skipped > 0) {
     std::fprintf(stderr,
@@ -481,8 +475,7 @@ int main(int argc, char** argv) {
   if (parsed.ok()) parsed = ValidateOptions(args.storage);
   // Maintenance ops and the daemon run the live pruner, whose LSH probe
   // cannot see the zero-score pairs a zero floor keeps.
-  PairPrunerOptions& pruner = args.options.pruner;
-  const bool positive_floor = pruner.min_containment > 0.0;
+  const bool positive_floor = args.options.pruner.min_containment > 0.0;
   const bool live_pruner = !args.ops.empty() || args.mode == kServe;
   if (parsed.ok() && live_pruner && !positive_floor) {
     parsed = Status::InvalidArgument(
@@ -490,15 +483,6 @@ int main(int argc, char** argv) {
         "--min-containment (0 = brute force is batch-only)");
   }
   if (!parsed.ok()) return table.UsageError(argv[0], kSynopsis, parsed);
-  if (!positive_floor) pruner.require_charset_overlap = false;  // brute force
-  if (live_pruner && !LshIndex::GuaranteesRecall(pruner.lsh,
-                                                 SignatureOptions().num_hashes,
-                                                 pruner.min_containment)) {
-    std::fprintf(stderr,
-                 "note: LSH banding %zux%zu is approximate; low-overlap "
-                 "pairs may be missed (128x1 is lossless)\n",
-                 pruner.lsh.bands, pruner.lsh.rows_per_band);
-  }
 
   const Status ran =
       args.mode == kClient ? RunClient(args.mode_arg, positional)

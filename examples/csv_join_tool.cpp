@@ -23,7 +23,6 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/serialization.h"
-#include "corpus/lsh_index.h"
 #include "corpus/signature.h"
 #include "join/join_engine.h"
 #include "table/csv.h"
@@ -115,22 +114,22 @@ tj::Result<int> Run(const Args& args, const std::vector<std::string>& names) {
 
   if (args.precheck) {
     // The corpus pruning view of this pair, without running the join: the
-    // same sketches TableCatalog::ComputeSignatures builds and the same
-    // banded-collision test the LSH probe path uses to shortlist partners.
-    const SignatureOptions sig_options;
+    // same sketches TableCatalog::ComputeSignatures builds. A sketch with
+    // at least one gram has no empty slot, so a nonzero Jaccard estimate
+    // (some slot equal) is exactly a collision in the LSH probe's
+    // one-slot bands.
     const ColumnSignature sig_left =
-        ComputeColumnSignature(left.column(left_idx), sig_options);
+        ComputeColumnSignature(left.column(left_idx));
     const ColumnSignature sig_right =
-        ComputeColumnSignature(right.column(right_idx), sig_options);
+        ComputeColumnSignature(right.column(right_idx));
+    const double jaccard = EstimateJaccard(sig_left, sig_right);
     const double containment = EstimateNgramContainment(sig_left, sig_right);
-    const bool collide =
-        LshIndex::BandsCollide(LshOptions(), sig_left, sig_right);
+    const bool collide = jaccard > 0.0;
     std::printf("precheck %s.%s vs %s.%s\n", names[0].c_str(),
                 names[1].c_str(), names[2].c_str(), names[3].c_str());
     std::printf("  distinct 4-grams: %zu vs %zu\n",
                 sig_left.distinct_ngrams, sig_right.distinct_ngrams);
-    std::printf("  estimated jaccard: %.4f\n",
-                EstimateJaccard(sig_left, sig_right));
+    std::printf("  estimated jaccard: %.4f\n", jaccard);
     std::printf("  estimated containment: %.4f\n", containment);
     std::printf("  lsh bands collide (128x1): %s\n",
                 collide ? "yes" : "no");

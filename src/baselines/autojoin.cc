@@ -30,18 +30,17 @@ struct ScoredUnit {
 
 class AutoJoinSearch {
  public:
-  AutoJoinSearch(const AutoJoinOptions& options, UnitInterner* interner,
-                 double deadline_seconds)
-      : options_(options), interner_(interner), deadline_(deadline_seconds) {}
+  AutoJoinSearch(const AutoJoinOptions& options, UnitInterner* interner)
+      : options_(options), interner_(interner) {}
 
-  bool timed_out() const { return timed_out_; }
+  bool capped() const { return capped_; }
   uint64_t units_enumerated() const { return units_enumerated_; }
 
   /// Finds a single transformation covering all rows of the subset, or
   /// nullopt.
   std::optional<std::vector<UnitId>> Find(
       const std::vector<SubsetState>& states, int depth) {
-    if (TimeExpired()) return std::nullopt;
+    if (BudgetSpent()) return std::nullopt;
     // Done when every residual target is empty.
     bool all_empty = true;
     for (const auto& s : states) {
@@ -62,7 +61,7 @@ class AutoJoinSearch {
                      });
     const size_t tries = std::min(candidates.size(), options_.backtrack_limit);
     for (size_t k = 0; k < tries; ++k) {
-      if (TimeExpired()) return std::nullopt;
+      if (BudgetSpent()) return std::nullopt;
       const ScoredUnit& cand = candidates[k];
       std::vector<SubsetState> left(states.size());
       std::vector<SubsetState> right(states.size());
@@ -85,14 +84,9 @@ class AutoJoinSearch {
   }
 
  private:
-  bool TimeExpired() {
-    if (timed_out_) return true;
-    // Check the clock periodically to keep the hot loops cheap.
-    if ((++clock_checks_ & 0x3ff) == 0 &&
-        watch_.ElapsedSeconds() > deadline_) {
-      timed_out_ = true;
-    }
-    return timed_out_;
+  bool BudgetSpent() {
+    if (units_enumerated_ >= options_.unit_budget) capped_ = true;
+    return capped_;
   }
 
   /// Evaluates `unit` on all rows; keeps it if its output is non-empty and
@@ -125,7 +119,7 @@ class AutoJoinSearch {
     const std::string_view tgt0 = states[0].target;
 
     // Substr(s, e) over every span of the first source.
-    for (size_t s = 0; s < src0.size() && !TimeExpired(); ++s) {
+    for (size_t s = 0; s < src0.size() && !BudgetSpent(); ++s) {
       for (size_t e = s + 1; e <= src0.size(); ++e) {
         Consider(Unit::MakeSubstr(static_cast<int32_t>(s),
                                   static_cast<int32_t>(e)),
@@ -145,7 +139,7 @@ class AutoJoinSearch {
       }
     }
     for (char c : distinct) {
-      if (TimeExpired()) break;
+      if (BudgetSpent()) break;
       const std::vector<std::string_view> pieces = SplitByChar(src0, c);
       for (size_t i = 0; i < pieces.size(); ++i) {
         Consider(Unit::MakeSplit(c, static_cast<int32_t>(i)), states, &out);
@@ -165,7 +159,7 @@ class AutoJoinSearch {
     // TwoCharSplitSubstr over delimiter pairs (normally disabled, §6.2).
     if (options_.enable_twochar_split_substr) {
       for (char c1 : distinct) {
-        if (TimeExpired()) break;
+        if (BudgetSpent()) break;
         for (char c2 : distinct) {
           if (c1 == c2) continue;
           int32_t qualifying = 0;
@@ -187,7 +181,7 @@ class AutoJoinSearch {
 
     // Literal candidates: substrings of the first residual target present in
     // every other residual target.
-    for (size_t s = 0; s < tgt0.size() && !TimeExpired(); ++s) {
+    for (size_t s = 0; s < tgt0.size() && !BudgetSpent(); ++s) {
       for (size_t e = s + 1; e <= tgt0.size(); ++e) {
         Consider(Unit::MakeLiteral(std::string(tgt0.substr(s, e - s))),
                  states, &out);
@@ -198,11 +192,8 @@ class AutoJoinSearch {
 
   const AutoJoinOptions& options_;
   UnitInterner* interner_;
-  const double deadline_;
-  Stopwatch watch_;
-  uint64_t clock_checks_ = 0;
   uint64_t units_enumerated_ = 0;
-  bool timed_out_ = false;
+  bool capped_ = false;
 };
 
 }  // namespace
@@ -214,14 +205,14 @@ AutoJoinResult RunAutoJoin(const std::vector<ExamplePair>& rows,
   Stopwatch watch;
   if (rows.empty()) return result;
 
-  AutoJoinSearch search(options, &result.units, options.time_budget_seconds);
+  AutoJoinSearch search(options, &result.units);
   Rng rng(options.seed);
   std::vector<UnitId> normalized;
   std::string fused;
 
   for (size_t subset_index = 0; subset_index < options.num_subsets;
        ++subset_index) {
-    if (search.timed_out()) break;
+    if (search.capped()) break;
     // Sample subset_size distinct rows (or all rows when input is smaller).
     const size_t k = std::min(options.subset_size, rows.size());
     std::vector<uint32_t> idx(rows.size());
@@ -242,7 +233,7 @@ AutoJoinResult RunAutoJoin(const std::vector<ExamplePair>& rows,
     if (fresh) result.found.push_back(id);
   }
 
-  result.timed_out = search.timed_out();
+  result.capped = search.capped();
   result.units_enumerated = search.units_enumerated();
 
   // Coverage of the found transformations over the full input.

@@ -11,8 +11,10 @@
 //   4. the union of per-subset transformations is the final set.
 //
 // The exhaustive parameter enumeration is the point of the baseline: its
-// cost grows as O(l^(zp+1) r) (paper §5.2). A wall-clock budget mirrors the
-// paper's 650,000-second cap treatment (§6.4).
+// cost grows as O(l^(zp+1) r) (paper §5.2). A budget of enumerated units
+// mirrors the paper's 650,000-second cap treatment (§6.4); counting work
+// instead of seconds makes a capped run stop at the same point, with the
+// same result, on every machine and under any load.
 
 #ifndef TJ_BASELINES_AUTOJOIN_H_
 #define TJ_BASELINES_AUTOJOIN_H_
@@ -35,9 +37,10 @@ struct AutoJoinOptions {
   int max_depth = 6;
   /// Candidate units tried per recursion level before giving up.
   size_t backtrack_limit = 8;
-  /// Wall-clock budget for the whole run; on expiry the search stops and
-  /// timed_out is set (the paper reports such runs at the cap).
-  double time_budget_seconds = 10.0;
+  /// Unit+parameter combinations the whole run may enumerate (see
+  /// AutoJoinResult::units_enumerated); once spent the search stops and
+  /// `capped` is set (the paper reports such runs at the cap).
+  uint64_t unit_budget = 80'000'000;
   /// Excluded in the paper's experiments (§6.2).
   bool enable_twochar_split_substr = false;
   uint64_t seed = 7;
@@ -56,7 +59,8 @@ struct AutoJoinResult {
   double union_coverage = 0.0;
   size_t num_rows = 0;
   double seconds = 0.0;
-  bool timed_out = false;
+  /// The search stopped because it spent AutoJoinOptions::unit_budget.
+  bool capped = false;
   /// Unit+parameter combinations enumerated (work counter).
   uint64_t units_enumerated = 0;
 

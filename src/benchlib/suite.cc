@@ -64,7 +64,7 @@ std::vector<BenchDataset> BuildSuite(const SuiteOptions& options) {
     wt.seed = options.seed + 1;
     d.tables = GenerateWebTables(wt);
     d.discovery.max_placeholders = 3;  // §6.2
-    d.autojoin_budget_seconds = 1.0;
+    d.autojoin_unit_budget = 15'000'000;
     suite.push_back(std::move(d));
   }
   if (options.include_spreadsheet) {
@@ -77,7 +77,7 @@ std::vector<BenchDataset> BuildSuite(const SuiteOptions& options) {
     // Tables here are small (~34 rows), so the paper's 5% support admits
     // 2-row junk rules; 10% ≈ 4 rows keeps real rules and drops junk.
     d.join_support = 0.1;
-    d.autojoin_budget_seconds = 0.4;
+    d.autojoin_unit_budget = 8'000'000;
     suite.push_back(std::move(d));
   }
   if (options.include_opendata) {
@@ -99,7 +99,7 @@ std::vector<BenchDataset> BuildSuite(const SuiteOptions& options) {
     // co-coverable than real scraped addresses, so junk rules need a
     // slightly higher support bar to reproduce the paper's precision shape.
     d.join_support = 0.05;
-    d.autojoin_budget_seconds = 2.0;
+    d.autojoin_unit_budget = 20'000'000;
     suite.push_back(std::move(d));
   }
   if (options.include_synth) {
@@ -121,7 +121,7 @@ std::vector<BenchDataset> BuildSuite(const SuiteOptions& options) {
       d.tables = SynthTables(Scaled(spec.rows, s), spec.long_rows,
                              spec.tables, options.seed + 10);
       d.discovery.max_placeholders = 3;
-      d.autojoin_budget_seconds = spec.rows >= 500 ? 2.0 : 1.0;
+      if (spec.rows >= 500) d.autojoin_unit_budget = 18'000'000;
       suite.push_back(std::move(d));
     }
   }
@@ -192,13 +192,13 @@ AutoJoinEval EvaluateAutoJoin(const TablePair& pair,
   const std::vector<ExamplePair> rows =
       LearningPairs(pair, config, matching);
   AutoJoinOptions options;
-  options.time_budget_seconds = config.autojoin_budget_seconds;
+  options.unit_budget = config.autojoin_unit_budget;
   const AutoJoinResult result = RunAutoJoin(rows, options);
   eval.top_coverage = result.TopCoverageFraction();
   eval.union_coverage = result.union_coverage;
   eval.num_transformations = result.found.size();
   eval.seconds = result.seconds;
-  eval.timed_out = result.timed_out;
+  eval.capped = result.capped;
   return eval;
 }
 

@@ -60,15 +60,6 @@ size_t CountEqualU64(const uint64_t* a, const uint64_t* b, size_t n) {
   return matches;
 }
 
-size_t CountEqualExcludingU64(const uint64_t* a, const uint64_t* b, size_t n,
-                              uint64_t excluded) {
-  size_t matches = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i] == b[i] && a[i] != excluded) ++matches;
-  }
-  return matches;
-}
-
 uint32_t CharsetMask(const char* s, size_t n) {
   constexpr uint32_t kAllBits =
       kCharsetLowerBit | kCharsetUpperBit | kCharsetDigitBit |
@@ -183,26 +174,6 @@ __attribute__((target("avx2"))) size_t CountEqualU64(const uint64_t* a,
   return matches + scalar::CountEqualU64(a + i, b + i, n - i);
 }
 
-__attribute__((target("avx2"))) size_t CountEqualExcludingU64(
-    const uint64_t* a, const uint64_t* b, size_t n, uint64_t excluded) {
-  const __m256i excl = _mm256_set1_epi64x(static_cast<long long>(excluded));
-  size_t matches = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i eq = _mm256_cmpeq_epi64(va, vb);
-    const __m256i keep =
-        _mm256_andnot_si256(_mm256_cmpeq_epi64(va, excl), eq);
-    matches += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(keep)))));
-  }
-  return matches +
-         scalar::CountEqualExcludingU64(a + i, b + i, n - i, excluded);
-}
-
 __attribute__((target("avx2"))) uint32_t CharsetMask(const char* s,
                                                      size_t n) {
   constexpr uint32_t kAllBits =
@@ -270,22 +241,18 @@ struct Ops {
   void (*minhash_update)(uint64_t, const uint64_t*, uint64_t*, size_t);
   void (*lower_ascii)(const char*, char*, size_t);
   size_t (*count_equal_u64)(const uint64_t*, const uint64_t*, size_t);
-  size_t (*count_equal_excluding_u64)(const uint64_t*, const uint64_t*,
-                                      size_t, uint64_t);
   uint32_t (*charset_mask)(const char*, size_t);
 };
 
 constexpr Ops kScalarOps = {
-    SimdLevel::kScalar,          &scalar::MinhashUpdate,
-    &scalar::LowerAscii,         &scalar::CountEqualU64,
-    &scalar::CountEqualExcludingU64, &scalar::CharsetMask,
+    SimdLevel::kScalar,  &scalar::MinhashUpdate, &scalar::LowerAscii,
+    &scalar::CountEqualU64, &scalar::CharsetMask,
 };
 
 #if defined(TJ_SIMD_HAS_AVX2_BUILD)
 constexpr Ops kAvx2Ops = {
-    SimdLevel::kAvx2,          &avx2::MinhashUpdate,
-    &avx2::LowerAscii,         &avx2::CountEqualU64,
-    &avx2::CountEqualExcludingU64, &avx2::CharsetMask,
+    SimdLevel::kAvx2,  &avx2::MinhashUpdate, &avx2::LowerAscii,
+    &avx2::CountEqualU64, &avx2::CharsetMask,
 };
 #endif
 
@@ -374,11 +341,6 @@ void LowerAscii(const char* src, char* dst, size_t n) {
 
 size_t CountEqualU64(const uint64_t* a, const uint64_t* b, size_t n) {
   return ActiveOps()->count_equal_u64(a, b, n);
-}
-
-size_t CountEqualExcludingU64(const uint64_t* a, const uint64_t* b, size_t n,
-                              uint64_t excluded) {
-  return ActiveOps()->count_equal_excluding_u64(a, b, n, excluded);
 }
 
 uint32_t CharsetMask(const char* s, size_t n) {

@@ -453,7 +453,7 @@ void TableCatalog::ComputeSignatures(ThreadPool* pool) {
       return;
     }
     tables_[ref.table].signatures[ref.column] =
-        ComputeColumnSignature(**resident, options_);
+        ComputeColumnSignature(**resident);
   };
   // Each column writes its own slot, so any sharding is deterministic;
   // over-decompose to balance uneven column sizes.
@@ -485,11 +485,9 @@ const ColumnSignature& TableCatalog::signature(ColumnRef ref) const {
 std::string TableCatalog::SerializeSignatures() const {
   std::string out(kSignatureHeaderV2);
   out += "\n";
-  out += StrPrintf("options ngram=%llu hashes=%llu seed=%llu lowercase=%d\n",
-                   static_cast<unsigned long long>(options_.ngram),
-                   static_cast<unsigned long long>(options_.num_hashes),
-                   static_cast<unsigned long long>(options_.seed),
-                   options_.lowercase ? 1 : 0);
+  out += StrPrintf("options ngram=%zu hashes=%zu seed=%llu lowercase=1\n",
+                   kSketchNgram, kSketchSlots,
+                   static_cast<unsigned long long>(kSketchSeed));
   for (const TableEntry& entry : tables_) {
     if (!entry.live) continue;
     bool any = false;
@@ -554,10 +552,10 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       TJ_ASSIGN_OR_RETURN(const int lowercase,
                           KeyNumber<int>(&in, "lowercase", 0, 1));
       TJ_RETURN_IF_ERROR(ExpectLineEnd(&in));
-      if (ngram != options_.ngram || hashes != options_.num_hashes ||
-          seed != options_.seed || (lowercase != 0) != options_.lowercase) {
+      if (ngram != kSketchNgram || hashes != kSketchSlots ||
+          seed != kSketchSeed || lowercase != 1) {
         return Status::InvalidArgument(
-            "sketch parameters disagree with this catalog's options");
+            "sketch parameters disagree with the sketch geometry");
       }
       saw_options = true;
       return Status::OK();
@@ -588,8 +586,6 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       }
       TJ_ASSIGN_OR_RETURN(const std::string name, in.ParseQuoted());
       ColumnSignature sig;
-      sig.ngram = options_.ngram;
-      sig.seed = options_.seed;
       TJ_ASSIGN_OR_RETURN(sig.num_rows,
                           KeyNumber<uint32_t>(&in, "rows", 0, kU32));
       TJ_ASSIGN_OR_RETURN(sig.distinct_ngrams,
@@ -640,15 +636,15 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (!sig.minhash.empty()) {
         return Status::InvalidArgument("duplicate minhash line");
       }
-      sig.minhash.reserve(options_.num_hashes);
+      sig.minhash.reserve(kSketchSlots);
       for (in.SkipSpace(); !in.AtEnd(); in.SkipSpace()) {
         TJ_ASSIGN_OR_RETURN(const uint64_t h, in.Number<uint64_t>(0, kU64));
         sig.minhash.push_back(h);
       }
-      if (sig.minhash.size() != options_.num_hashes) {
+      if (sig.minhash.size() != kSketchSlots) {
         return Status::InvalidArgument(
-            StrPrintf("expected %zu minhash slots, got %zu",
-                      options_.num_hashes, sig.minhash.size()));
+            StrPrintf("expected %zu minhash slots, got %zu", kSketchSlots,
+                      sig.minhash.size()));
       }
       column_pending = false;
       return Status::OK();

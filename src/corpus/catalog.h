@@ -96,9 +96,8 @@ class TableCatalog : public CorpusColumnSource {
   /// evict cold frozen tables (least recently registered/touched first)
   /// whenever the resident cell bytes exceed the budget. Evicted tables
   /// are transparently re-mapped by table()/column() on access.
-  explicit TableCatalog(SignatureOptions options = SignatureOptions(),
-                        StorageOptions storage = StorageOptions())
-      : options_(options), storage_(std::move(storage)) {}
+  explicit TableCatalog(StorageOptions storage = StorageOptions())
+      : storage_(std::move(storage)) {}
 
   /// Movable (factory-style construction in tests and tools). The
   /// resident-bytes counter is a shared cell, so the adopted tables'
@@ -107,8 +106,7 @@ class TableCatalog : public CorpusColumnSource {
   /// an empty catalog. Moving is only safe while no reader races the
   /// source, which a move already requires of every other member.
   TableCatalog(TableCatalog&& other) noexcept
-      : options_(std::move(other.options_)),
-        storage_(std::move(other.storage_)),
+      : storage_(std::move(other.storage_)),
         tables_(std::move(other.tables_)),
         num_live_(other.num_live_),
         mutation_epoch_(other.mutation_epoch_),
@@ -118,7 +116,6 @@ class TableCatalog : public CorpusColumnSource {
         table_index_(std::move(other.table_index_)) {}
   TableCatalog& operator=(TableCatalog&& other) noexcept {
     if (this != &other) {
-      options_ = std::move(other.options_);
       storage_ = std::move(other.storage_);
       tables_ = std::move(other.tables_);
       num_live_ = other.num_live_;
@@ -230,7 +227,6 @@ class TableCatalog : public CorpusColumnSource {
   /// the tables that still have pending pairs; otherwise a no-op.
   void ReleaseIdleTable(uint32_t t) const override;
 
-  const SignatureOptions& signature_options() const { return options_; }
   const StorageOptions& storage_options() const { return storage_; }
 
   // -------------------------------------------------------------------
@@ -303,8 +299,8 @@ class TableCatalog : public CorpusColumnSource {
   ///
   /// Everything else fails closed — any other header (including the
   /// fingerprint-less v1 format), an unknown column name, row-count drift,
-  /// malformed or truncated input, sketch parameters that differ from this
-  /// catalog's SignatureOptions — is an error and installs nothing, forcing
+  /// malformed or truncated input, sketch parameters that differ from the
+  /// sketch geometry (signature.h) — is an error and installs nothing, forcing
   /// a rescan.
   Status LoadSignatures(std::string_view text);
 
@@ -345,7 +341,6 @@ class TableCatalog : public CorpusColumnSource {
   /// Resets the counter to the exact scan (serial contexts only).
   void ResyncResidentBytes() const;
 
-  SignatureOptions options_;
   StorageOptions storage_;
   std::vector<TableEntry> tables_;
   size_t num_live_ = 0;

@@ -1,21 +1,18 @@
 // LshIndex: banded locality-sensitive hashing over the catalog's MinHash
 // sketches — the sublinear candidate-lookup structure behind the
-// IncrementalPairPruner's probe path. The 128-slot sketch of each column is
-// split into `bands` groups of `rows_per_band` consecutive slots; each band
-// hashes to one bucket key, and two columns are LSH *candidates* when they
-// share at least one bucket. Probing an index of N columns touches only the
-// collision buckets, so folding a table into a million-table corpus scores
-// O(collisions) pairs instead of O(N).
+// IncrementalPairPruner's probe path. Each of a sketch's kSketchSlots slots
+// is its own band: a non-empty slot hashes to one bucket key, and two
+// columns are LSH *candidates* when they share at least one bucket. Probing
+// an index of N columns touches only the collision buckets, so folding a
+// table into a million-table corpus scores O(collisions) pairs instead of
+// O(N).
 //
-// Exactness contract: with the default banding (rows_per_band = 1, one band
-// per sketch slot) a pair collides iff at least one MinHash slot matches,
-// i.e. iff its estimated Jaccard — and therefore its estimated containment
-// score — is nonzero. Every pair that can clear a positive containment
-// floor is then probed, and the post-probe exact ScoreColumnPair pass makes
-// the shortlist bit-identical to a full ShortlistPairs scan
-// (GuaranteesRecall tells callers when that holds). Coarser bandings
-// (rows_per_band > 1) probe fewer pairs but may miss low-similarity
-// survivors; CountLshMissedPairs (pair_pruner.h) measures exactly that.
+// Exactness: a pair collides iff at least one non-empty MinHash slot
+// matches, i.e. iff its estimated Jaccard — and therefore its estimated
+// containment score — is nonzero. Every pair that can clear a positive
+// containment floor is then probed, and the post-probe exact
+// ScoreColumnPair pass makes the shortlist bit-identical to a full
+// ShortlistPairs scan.
 //
 // Layout: buckets live in one flat open-addressed table (linear probing,
 // power-of-two capacity, backward-shift deletion) whose slots hold the band
@@ -31,38 +28,16 @@
 #include <map>
 #include <vector>
 
-#include "common/status.h"
 #include "corpus/catalog.h"
 #include "corpus/signature.h"
 
 namespace tj {
-
-struct LshOptions {
-  /// Number of bands. The default — one band per sketch slot at the
-  /// catalog's 128-hash default — makes collision equivalent to "any slot
-  /// matches", the lossless setting (see the exactness contract above).
-  size_t bands = 128;
-
-  /// Consecutive sketch slots hashed into each band's bucket key. 1 is
-  /// lossless; larger values trade recall at low similarity for fewer
-  /// probe collisions (the classic (b, r) S-curve).
-  size_t rows_per_band = 1;
-};
-
-/// InvalidArgument for degenerate bandings (0 bands / 0 rows hash nothing).
-/// Defaults always validate.
-Status ValidateOptions(const LshOptions& options);
 
 /// The banded bucket index. Not thread-safe for concurrent mutation; the
 /// pruner mutates it only from its (externally serialized) maintenance
 /// calls.
 class LshIndex {
  public:
-  explicit LshIndex(LshOptions options = LshOptions())
-      : options_(options) {}
-
-  const LshOptions& options() const { return options_; }
-
   /// Indexes one column under its banded bucket keys. Columns that sketched
   /// no grams (distinct_ngrams == 0) are skipped entirely: their estimated
   /// containment against anything is 0, so they can never clear a positive
@@ -89,25 +64,9 @@ class LshIndex {
   size_t num_buckets() const { return num_buckets_; }
   size_t num_entries() const { return keys_.size(); }
 
-  /// Bucket keys of one signature in band order (one per usable band whose
-  /// slots are not all empty) — the keys Insert files a column under.
-  std::vector<uint64_t> BandKeys(const ColumnSignature& signature) const;
-
-  /// True when `a` and `b` share at least one banded bucket key — the
-  /// collision predicate Probe implements, exposed so recall diagnostics
-  /// can test pairs without building an index.
-  static bool BandsCollide(const LshOptions& options,
-                           const ColumnSignature& a,
-                           const ColumnSignature& b);
-
-  /// True when the banding provably probes every pair a full scan would
-  /// keep at this floor: lossless banding (rows_per_band == 1, every slot
-  /// covered by a band) and a positive containment floor. With floor == 0
-  /// the full scan keeps zero-score pairs no banding can see, and with
-  /// rows_per_band > 1 a pair needs `rows_per_band` consecutive matching
-  /// slots to collide — both lose the guarantee.
-  static bool GuaranteesRecall(const LshOptions& options, size_t num_hashes,
-                               double min_containment);
+  /// Bucket keys of one signature in slot order (one per non-empty slot)
+  /// — the keys Insert files a column under.
+  static std::vector<uint64_t> BandKeys(const ColumnSignature& signature);
 
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
@@ -127,7 +86,6 @@ class LshIndex {
   void EraseSlot(uint32_t slot);
   void Grow();
 
-  LshOptions options_;
   /// Parallel slot arrays: band key and the head entry of its bucket
   /// (kNil = empty slot). Capacity is zero or a power of two.
   std::vector<uint64_t> slot_keys_;

@@ -11,6 +11,9 @@
 namespace tj {
 namespace {
 
+/// Columns with fewer rows are not join candidates.
+constexpr uint32_t kMinPairRows = 2;
+
 /// Candidate pair ordering: score descending, then catalog order. Strict
 /// weak ordering with no floating-point ties left to chance — scores are
 /// computed identically regardless of chunking, so the sort is stable
@@ -55,11 +58,10 @@ bool ScoreColumnPair(const TableCatalog& catalog, ColumnRef a, ColumnRef b,
   if (!catalog.HasSignature(a) || !catalog.HasSignature(b)) return false;
   const ColumnSignature& sig_a = catalog.signature(a);
   const ColumnSignature& sig_b = catalog.signature(b);
-  if (sig_a.num_rows < options.min_rows ||
-      sig_b.num_rows < options.min_rows) {
+  if (sig_a.num_rows < kMinPairRows || sig_b.num_rows < kMinPairRows) {
     return false;
   }
-  if (options.require_charset_overlap &&
+  if (options.min_containment > 0.0 &&
       (sig_a.charset_mask & sig_b.charset_mask) == 0) {
     return false;
   }
@@ -249,24 +251,7 @@ Status ValidateOptions(const PairPrunerOptions& options) {
     return Status::InvalidArgument(
         "PairPrunerOptions::min_containment must be in [0, 1]");
   }
-  return ValidateOptions(options.lsh);
-}
-
-size_t CountLshMissedPairs(const TableCatalog& catalog,
-                           const PairPrunerOptions& options,
-                           ThreadPool* pool) {
-  // Truncation must not hide survivors the probe failed to reach.
-  PairPrunerOptions untruncated = options;
-  untruncated.max_candidates = 0;
-  const PairPrunerResult full = ShortlistPairs(catalog, untruncated, pool);
-  size_t missed = 0;
-  for (const ColumnPairCandidate& c : full.shortlist) {
-    if (!LshIndex::BandsCollide(options.lsh, catalog.signature(c.a),
-                                catalog.signature(c.b))) {
-      ++missed;
-    }
-  }
-  return missed;
+  return Status::OK();
 }
 
 }  // namespace tj

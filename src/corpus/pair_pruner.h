@@ -13,8 +13,7 @@
 //    banded-LSH index (lsh_index.h) and exact-scores only the columns its
 //    sketches collide with (sublinear in catalog size instead of the O(N^2)
 //    full rescan), and every snapshot is bit-identical to a from-scratch
-//    ShortlistPairs over the same catalog state whenever the banding is
-//    lossless and the floor positive (LshIndex::GuaranteesRecall).
+//    ShortlistPairs over the same catalog state at a positive floor.
 
 #ifndef TJ_CORPUS_PAIR_PRUNER_H_
 #define TJ_CORPUS_PAIR_PRUNER_H_
@@ -35,28 +34,13 @@ struct PairPrunerOptions {
   /// Floor on the estimated n-gram containment (signature.h). Joinable
   /// synthetic pairs score ~0.4+ while unrelated alphanumeric columns score
   /// ~0, so the default keeps a wide recall margin; 0 disables pruning (the
-  /// brute-force baseline).
+  /// brute-force baseline). A positive floor also skips pairs whose charset
+  /// masks share no character class at all (an all-digits id column against
+  /// an all-letters name column can share no n-gram).
   double min_containment = 0.05;
-
-  /// Skip pairs whose charset masks share no character class at all (an
-  /// all-digits id column against an all-letters name column can share no
-  /// n-gram). Computed on the same normalized text as the sketches.
-  bool require_charset_overlap = true;
-
-  /// Columns with fewer rows are not considered join candidates.
-  size_t min_rows = 2;
 
   /// Keep at most this many top-ranked candidates (0 = unlimited).
   size_t max_candidates = 0;
-
-  /// Banding geometry of the IncrementalPairPruner's candidate lookup
-  /// (lsh_index.h): OnTableAdded probes the band buckets and exact-scores
-  /// only colliding pairs. With the lossless default banding
-  /// (LshIndex::GuaranteesRecall(lsh, num_hashes, min_containment) true) the
-  /// live shortlist stays bit-identical to the exhaustive scan; coarser
-  /// bandings are approximate. Ignored by the one-shot ShortlistPairs, which
-  /// is the exhaustive reference by definition.
-  LshOptions lsh;
 };
 
 /// One surviving cross-table column pair. `a` < `b` in catalog order; the
@@ -83,8 +67,8 @@ struct PairPrunerResult {
   std::vector<ColumnPairCandidate> shortlist;
   /// Cross-table column pairs considered.
   size_t total_pairs = 0;
-  /// Pairs rejected by the floor/charset/min_rows gates (excludes any
-  /// max_candidates truncation).
+  /// Pairs rejected by the floor/charset gates or because a column has
+  /// fewer than two rows (excludes any max_candidates truncation).
   size_t pruned_pairs = 0;
 
   double PruningRatio() const {
@@ -110,21 +94,10 @@ PairPrunerResult ShortlistPairs(const TableCatalog& catalog,
                                 const PairPrunerOptions& options,
                                 ThreadPool* pool = nullptr);
 
-/// Validates a PairPrunerOptions (containment floor in range, gates sane,
-/// LSH banding non-degenerate) with an InvalidArgument instead of
-/// downstream misbehavior. Defaults always validate.
+/// Validates a PairPrunerOptions (containment floor in [0, 1]) with an
+/// InvalidArgument instead of downstream misbehavior. Defaults always
+/// validate.
 Status ValidateOptions(const PairPrunerOptions& options);
-
-/// Recall diagnostic for a banding choice: the number of pairs the
-/// exhaustive scan keeps at `options`' floor whose sketches do NOT collide
-/// in any band — pairs a probe-driven incremental pruner would silently
-/// miss. Zero whenever LshIndex::GuaranteesRecall holds for the catalog's
-/// signature width; coarser bandings trade this count for fewer probe
-/// collisions. Counted over the full (untruncated) survivor set, so
-/// max_candidates does not hide misses.
-size_t CountLshMissedPairs(const TableCatalog& catalog,
-                           const PairPrunerOptions& options,
-                           ThreadPool* pool = nullptr);
 
 /// Live shortlist over a mutating catalog. Every survivor is held once in a
 /// single vector kept in rank order: an add merges its few new survivors
@@ -134,8 +107,7 @@ size_t CountLshMissedPairs(const TableCatalog& catalog,
 ///
 /// Recall contract: candidates come from the banded-LSH probe, which only
 /// sees pairs sharing a non-empty sketch slot. At a positive
-/// min_containment floor with the default 128x1 banding
-/// (LshIndex::GuaranteesRecall) every pair the floor keeps is probed, so
+/// min_containment floor every pair the floor keeps is probed, so
 /// Snapshot() is bit-identical to ShortlistPairs on the catalog's current
 /// live state. A zero floor keeps zero-score pairs the probe cannot see
 /// (the serving layer's ValidateOptions rejects it); use the one-shot
@@ -148,7 +120,7 @@ size_t CountLshMissedPairs(const TableCatalog& catalog,
 class IncrementalPairPruner {
  public:
   explicit IncrementalPairPruner(PairPrunerOptions options = {})
-      : options_(options), lsh_(options.lsh) {}
+      : options_(options) {}
 
   const PairPrunerOptions& options() const { return options_; }
 

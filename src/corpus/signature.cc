@@ -1,6 +1,7 @@
 #include "corpus/signature.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
 
 #include "common/hash.h"
@@ -24,22 +25,18 @@ bool ColumnSignature::operator==(const ColumnSignature& other) const {
          distinct_ngrams == other.distinct_ngrams &&
          min_length == other.min_length && max_length == other.max_length &&
          mean_length == other.mean_length &&
-         charset_mask == other.charset_mask && ngram == other.ngram &&
-         seed == other.seed && minhash == other.minhash;
+         charset_mask == other.charset_mask && minhash == other.minhash;
 }
 
-ColumnSignature ComputeColumnSignature(const Column& column,
-                                       const SignatureOptions& options) {
+ColumnSignature ComputeColumnSignature(const Column& column) {
   ColumnSignature sig;
   sig.num_rows = static_cast<uint32_t>(column.size());
-  sig.ngram = options.ngram;
-  sig.seed = options.seed;
-  sig.minhash.assign(options.num_hashes, kEmptyMinhashSlot);
+  sig.minhash.assign(kSketchSlots, kEmptyMinhashSlot);
 
   // Per-slot seeds of the hash family: one Mix64 of (base seed, slot).
-  std::vector<uint64_t> slot_seeds(options.num_hashes);
-  for (size_t i = 0; i < options.num_hashes; ++i) {
-    slot_seeds[i] = HashCombine(options.seed, i);
+  std::array<uint64_t, kSketchSlots> slot_seeds;
+  for (size_t i = 0; i < kSketchSlots; ++i) {
+    slot_seeds[i] = HashCombine(kSketchSeed, i);
   }
 
   std::unordered_set<uint64_t> distinct;
@@ -51,11 +48,9 @@ ColumnSignature ComputeColumnSignature(const Column& column,
   // faults it in one block at a time instead of pinning it whole.
   std::string lowered;  // reused across rows: one amortized allocation
   ForEachCellStreamed(column, [&](std::string_view text) {
-    if (options.lowercase) {
-      lowered.clear();
-      AppendLowerAscii(text, &lowered);
-      text = lowered;
-    }
+    lowered.clear();
+    AppendLowerAscii(text, &lowered);
+    text = lowered;
     const auto length = static_cast<uint32_t>(text.size());
     total_length += length;
     sig.min_length = std::min(sig.min_length, length);
@@ -66,20 +61,17 @@ ColumnSignature ComputeColumnSignature(const Column& column,
     // + Mix64 recurrence as HashString(gram) (pinned by the simd suite),
     // without a per-gram substr + hash call through ForEachNgram. The
     // 128-slot sketch update runs through the dispatched MinHash kernel.
-    const size_t gram = options.ngram;
-    if (gram > 0 && gram <= text.size()) {
-      const char* data = text.data();
-      for (size_t i = 0; i + gram <= text.size(); ++i) {
-        uint64_t h = kFnvOffsetBasis;
-        for (size_t j = 0; j < gram; ++j) {
-          h ^= static_cast<unsigned char>(data[i + j]);
-          h *= kFnvPrime;
-        }
-        const uint64_t base = Mix64(h);
-        if (!distinct.insert(base).second) continue;  // already sketched
-        simd::MinhashUpdate(base, slot_seeds.data(), sig.minhash.data(),
-                            slot_seeds.size());
+    const char* data = text.data();
+    for (size_t i = 0; i + kSketchNgram <= text.size(); ++i) {
+      uint64_t h = kFnvOffsetBasis;
+      for (size_t j = 0; j < kSketchNgram; ++j) {
+        h ^= static_cast<unsigned char>(data[i + j]);
+        h *= kFnvPrime;
       }
+      const uint64_t base = Mix64(h);
+      if (!distinct.insert(base).second) continue;  // already sketched
+      simd::MinhashUpdate(base, slot_seeds.data(), sig.minhash.data(),
+                          kSketchSlots);
     }
   });
   sig.distinct_ngrams = distinct.size();
@@ -111,17 +103,6 @@ double EstimateNgramContainment(const ColumnSignature& a,
                        static_cast<double>(b.distinct_ngrams);
   const double intersection = jaccard * total / (1.0 + jaccard);
   return std::min(1.0, intersection / smaller);
-}
-
-Status ValidateOptions(const SignatureOptions& options) {
-  if (options.ngram == 0) {
-    return Status::InvalidArgument("SignatureOptions::ngram must be >= 1");
-  }
-  if (options.num_hashes == 0) {
-    return Status::InvalidArgument(
-        "SignatureOptions::num_hashes must be >= 1");
-  }
-  return Status::OK();
 }
 
 }  // namespace tj

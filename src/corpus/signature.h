@@ -1,6 +1,7 @@
 // ColumnSignature: a compact, order-independent summary of a join column —
-// length/charset statistics plus an n-gram MinHash sketch — computed once
-// per column by the TableCatalog and compared in O(k) by the PairPruner.
+// length/charset statistics plus a MinHash sketch of its lowercased 4-grams
+// — computed once per column by the TableCatalog and compared in O(k) by
+// the PairPruner.
 //
 // The sketch answers "how much of this column's n-gram vocabulary is shared
 // with that column's?" without touching either column again: the classic
@@ -14,17 +15,32 @@
 #ifndef TJ_CORPUS_SIGNATURE_H_
 #define TJ_CORPUS_SIGNATURE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "table/column.h"
 
 namespace tj {
 
-/// Character-class bits recorded in ColumnSignature::charset_mask. Classes
-/// are computed on the same normalized text the sketch sees (i.e. after
-/// lowercasing when SignatureOptions::lowercase is set).
+/// The one sketch geometry. Every column of every catalog is sketched
+/// alike, so any two signatures compare slot by slot, and the signature
+/// cache records these values on its `options` line and refuses a file
+/// written with any other.
+///
+/// Sketched n-gram length: the row matcher's n0, so a pair with no shared
+/// 4-grams can have no representative gram of any size.
+inline constexpr size_t kSketchNgram = 4;
+/// MinHash slots. 128 gives a Jaccard standard error of ~0.044 at J=0.25,
+/// far finer than the default containment floor needs.
+inline constexpr size_t kSketchSlots = 128;
+/// Base seed of the slot hash family, fixed so sketches are reproducible
+/// and comparable across runs and machines.
+inline constexpr uint64_t kSketchSeed = 0x746a636f72707573ULL;  // "tjcorpus"
+
+/// Character-class bits recorded in ColumnSignature::charset_mask. Rows are
+/// ASCII-lowercased before sketching (the row matcher's default
+/// normalization), and classes are computed on that lowercased text.
 enum CharsetBit : uint32_t {
   kCharsetLower = 1u << 0,
   kCharsetUpper = 1u << 1,
@@ -32,24 +48,6 @@ enum CharsetBit : uint32_t {
   kCharsetSpace = 1u << 3,
   kCharsetPunct = 1u << 4,
   kCharsetOther = 1u << 5,  // non-ASCII / control bytes
-};
-
-struct SignatureOptions {
-  /// Sketched n-gram length. 4 matches the row matcher's n0 default: a pair
-  /// with no shared 4-grams can have no representative gram of any size.
-  size_t ngram = 4;
-
-  /// MinHash slots. 128 gives a Jaccard standard error of ~0.044 at J=0.25
-  /// — far finer than the default containment floor needs.
-  size_t num_hashes = 128;
-
-  /// Base seed of the slot hash family. Fixed so sketches are reproducible
-  /// and comparable across runs and machines.
-  uint64_t seed = 0x746a636f72707573ULL;  // "tjcorpus"
-
-  /// ASCII-lowercase rows before sketching, mirroring the row matcher's
-  /// default normalization.
-  bool lowercase = true;
 };
 
 /// Value returned by empty MinHash slots (no grams hashed).
@@ -65,25 +63,20 @@ struct ColumnSignature {
   double mean_length = 0.0;
   uint32_t charset_mask = 0;  // OR of CharsetBit over all cells
 
-  // Sketch parameters echoed so mismatched sketches are never compared.
-  uint64_t ngram = 0;
-  uint64_t seed = 0;
-  std::vector<uint64_t> minhash;  // num_hashes slots
+  std::vector<uint64_t> minhash;  // kSketchSlots slots
 
-  /// True when the two sketches were built with the same parameters and can
-  /// be compared slot-by-slot.
+  /// True when the two sketches have the same slot count and can be
+  /// compared slot by slot.
   bool ComparableWith(const ColumnSignature& other) const {
-    return ngram == other.ngram && seed == other.seed &&
-           minhash.size() == other.minhash.size();
+    return minhash.size() == other.minhash.size();
   }
 
   bool operator==(const ColumnSignature& other) const;
 };
 
 /// Scans the column once and builds its signature. Deterministic: depends
-/// only on the cell values and the options.
-ColumnSignature ComputeColumnSignature(const Column& column,
-                                       const SignatureOptions& options);
+/// only on the cell values.
+ColumnSignature ComputeColumnSignature(const Column& column);
 
 /// MinHash estimate of the Jaccard similarity of the two distinct-gram
 /// sets: matching slots / total slots. Requires ComparableWith; returns 0
@@ -98,11 +91,6 @@ double EstimateJaccard(const ColumnSignature& a, const ColumnSignature& b);
 /// vocabulary sizes differ widely.
 double EstimateNgramContainment(const ColumnSignature& a,
                                 const ColumnSignature& b);
-
-/// Validates a SignatureOptions — InvalidArgument instead of downstream
-/// misbehavior (a 0-gram sketch hashes nothing; 0 slots estimate nothing).
-/// Defaults always validate.
-Status ValidateOptions(const SignatureOptions& options);
 
 }  // namespace tj
 

@@ -220,7 +220,7 @@ void RunMaintenanceIdentityProperty(const StorageOptions& storage,
   std::vector<Table> reservoir(extra.tables.begin(), extra.tables.end());
   size_t next_reservoir = 0;
 
-  TableCatalog catalog(SignatureOptions(), storage);
+  TableCatalog catalog(storage);
   for (const Table& table : base.tables) {
     ASSERT_TRUE(catalog.AddTable(table).ok());
   }

@@ -27,8 +27,7 @@ Column MakeColumn(std::string name, std::vector<std::string> values) {
 TEST(ColumnSignature, StatsAndCharset) {
   const Column column = MakeColumn(
       "c", {"Alpha Bravo", "charlie-42", "delta"});
-  SignatureOptions options;
-  const ColumnSignature sig = ComputeColumnSignature(column, options);
+  const ColumnSignature sig = ComputeColumnSignature(column);
 
   EXPECT_EQ(sig.num_rows, 3u);
   EXPECT_EQ(sig.min_length, 5u);
@@ -41,7 +40,7 @@ TEST(ColumnSignature, StatsAndCharset) {
   EXPECT_TRUE(sig.charset_mask & kCharsetSpace);
   EXPECT_TRUE(sig.charset_mask & kCharsetPunct);
   EXPECT_GT(sig.distinct_ngrams, 0u);
-  EXPECT_EQ(sig.minhash.size(), options.num_hashes);
+  EXPECT_EQ(sig.minhash.size(), kSketchSlots);
 }
 
 TEST(ColumnSignature, ContainmentSeparatesSharedFromDisjoint) {
@@ -50,10 +49,9 @@ TEST(ColumnSignature, ContainmentSeparatesSharedFromDisjoint) {
   const Column shared_b = MakeColumn(
       "b", {"alberta university", "toronto university"});
   const Column disjoint = MakeColumn("d", {"0123456789", "9876543210"});
-  SignatureOptions options;
-  const ColumnSignature sig_a = ComputeColumnSignature(shared_a, options);
-  const ColumnSignature sig_b = ComputeColumnSignature(shared_b, options);
-  const ColumnSignature sig_d = ComputeColumnSignature(disjoint, options);
+  const ColumnSignature sig_a = ComputeColumnSignature(shared_a);
+  const ColumnSignature sig_b = ComputeColumnSignature(shared_b);
+  const ColumnSignature sig_d = ComputeColumnSignature(disjoint);
 
   EXPECT_DOUBLE_EQ(EstimateNgramContainment(sig_a, sig_a), 1.0);
   EXPECT_GT(EstimateNgramContainment(sig_a, sig_b), 0.5);
@@ -63,9 +61,8 @@ TEST(ColumnSignature, ContainmentSeparatesSharedFromDisjoint) {
 TEST(ColumnSignature, EmptyColumns) {
   const Column empty = MakeColumn("e", {});
   const Column tiny = MakeColumn("t", {"ab"});  // shorter than the gram size
-  SignatureOptions options;
-  const ColumnSignature sig_e = ComputeColumnSignature(empty, options);
-  const ColumnSignature sig_t = ComputeColumnSignature(tiny, options);
+  const ColumnSignature sig_e = ComputeColumnSignature(empty);
+  const ColumnSignature sig_t = ComputeColumnSignature(tiny);
   EXPECT_EQ(sig_e.num_rows, 0u);
   EXPECT_EQ(sig_e.distinct_ngrams, 0u);
   EXPECT_EQ(sig_t.distinct_ngrams, 0u);
@@ -168,18 +165,6 @@ TEST(TableCatalog, LoadRejectsMalformedAndMismatchedDumps) {
   // Exactly the renamed table's columns are missing.
   EXPECT_GT(missing, 0u);
   EXPECT_LT(missing, target.num_columns());
-
-  // Mismatched sketch parameters always fail, and install nothing.
-  SignatureOptions other_options;
-  other_options.num_hashes = 16;
-  TableCatalog other_params(other_options);
-  for (const Table& table : corpus.tables) {
-    ASSERT_TRUE(other_params.AddTable(table).ok());
-  }
-  EXPECT_FALSE(other_params.LoadSignatures(dump).ok());
-  for (const ColumnRef ref : other_params.AllColumns()) {
-    EXPECT_FALSE(other_params.HasSignature(ref));
-  }
 }
 
 TEST(TableCatalog, AddCsvDirectoryLoadsInFilenameOrder) {
@@ -271,8 +256,6 @@ TEST(PairPruner, BruteForceFloorKeepsEverything) {
   catalog.ComputeSignatures();
   PairPrunerOptions brute;
   brute.min_containment = 0.0;
-  brute.require_charset_overlap = false;
-  brute.min_rows = 0;
   const PairPrunerResult result = ShortlistPairs(catalog, brute);
   EXPECT_EQ(result.pruned_pairs, 0u);
   EXPECT_EQ(result.shortlist.size(), result.total_pairs);

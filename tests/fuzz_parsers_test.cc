@@ -178,10 +178,8 @@ TEST(FuzzParsers, SignatureCacheFailsClosedOrRoundTrips) {
   corpus_options.num_noise_tables = 1;
   corpus_options.rows = 12;
   const SynthCorpus corpus = GenerateSynthCorpus(corpus_options);
-  SignatureOptions sketch;
-  sketch.num_hashes = 8;  // short minhash lines keep mutations on the rest
   const auto build = [&] {
-    TableCatalog catalog(sketch);
+    TableCatalog catalog;
     for (const Table& table : corpus.tables) {
       EXPECT_TRUE(catalog.AddTable(table).ok());
     }

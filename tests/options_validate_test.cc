@@ -12,7 +12,6 @@
 #include "core/options.h"
 #include "corpus/corpus_discovery.h"
 #include "corpus/pair_pruner.h"
-#include "corpus/signature.h"
 #include "join/join_engine.h"
 #include "match/row_matcher.h"
 #include "serve/server.h"
@@ -115,20 +114,6 @@ TEST(ValidateOptionsTest, StorageBudgetNeedsSpillDir) {
   StorageOptions budget_no_spill;
   budget_no_spill.memory_budget_bytes = 1 << 20;
   ExpectRejected(ValidateOptions(budget_no_spill), "memory_budget_bytes");
-}
-
-TEST(ValidateOptionsTest, SignatureBounds) {
-  EXPECT_TRUE(ValidateOptions(SignatureOptions()).ok());
-  {
-    SignatureOptions o;
-    o.ngram = 0;
-    ExpectRejected(ValidateOptions(o), "ngram");
-  }
-  {
-    SignatureOptions o;
-    o.num_hashes = 0;
-    ExpectRejected(ValidateOptions(o), "num_hashes");
-  }
 }
 
 TEST(ValidateOptionsTest, PairPrunerContainmentRange) {

@@ -194,39 +194,27 @@ TEST(SimdKernels, CountEqualU64MatchesScalarTwin) {
     for (size_t len = 0; len <= kMaxLen; ++len) {
       std::vector<uint64_t> a = PatternWords(offset + len, 17);
       std::vector<uint64_t> b = PatternWords(offset + len, 18);
-      // Plant equal positions (every 3rd) and empty-slot sentinels (every
-      // 5th) so both branches of the excluding variant fire.
+      // Plant equal positions (every 3rd) and equal empty-slot sentinels
+      // (every 5th).
       for (size_t i = offset; i < a.size(); i += 3) b[i] = a[i];
       for (size_t i = offset; i < a.size(); i += 5) {
         a[i] = kEmptyMinhashSlot;
         b[i] = kEmptyMinhashSlot;
       }
-      size_t expect_eq = 0, expect_ex = 0;
+      size_t expect_eq = 0;
       for (size_t i = 0; i < len; ++i) {
-        const bool eq = a[offset + i] == b[offset + i];
-        expect_eq += eq;
-        expect_ex += eq && a[offset + i] != kEmptyMinhashSlot;
+        expect_eq += a[offset + i] == b[offset + i];
       }
       const uint64_t* pa = a.data() + offset;
       const uint64_t* pb = b.data() + offset;
       ASSERT_EQ(simd::scalar::CountEqualU64(pa, pb, len), expect_eq);
-      ASSERT_EQ(simd::scalar::CountEqualExcludingU64(pa, pb, len,
-                                                     kEmptyMinhashSlot),
-                expect_ex);
       if (CpuHasAvx2()) {
 #if defined(TJ_SIMD_HAS_AVX2_BUILD)
         ASSERT_EQ(simd::avx2::CountEqualU64(pa, pb, len), expect_eq)
             << "len " << len << " offset " << offset;
-        ASSERT_EQ(simd::avx2::CountEqualExcludingU64(pa, pb, len,
-                                                     kEmptyMinhashSlot),
-                  expect_ex)
-            << "len " << len << " offset " << offset;
 #endif
       }
       ASSERT_EQ(simd::CountEqualU64(pa, pb, len), expect_eq);
-      ASSERT_EQ(simd::CountEqualExcludingU64(pa, pb, len,
-                                             kEmptyMinhashSlot),
-                expect_ex);
     }
   }
 }
@@ -342,25 +330,20 @@ TEST(FnvPin, InlineGramRecurrenceEqualsHashString) {
 
 /// Reference sketch built from first principles: ForEachNgram + HashString
 /// + the per-slot min recurrence — no simd kernels, no inlined FNV.
-ColumnSignature ReferenceSignature(const Column& column,
-                                   const SignatureOptions& options) {
+ColumnSignature ReferenceSignature(const Column& column) {
   ColumnSignature sig;
   sig.num_rows = static_cast<uint32_t>(column.size());
-  sig.ngram = options.ngram;
-  sig.seed = options.seed;
-  sig.minhash.assign(options.num_hashes, kEmptyMinhashSlot);
-  std::vector<uint64_t> slot_seeds(options.num_hashes);
-  for (size_t i = 0; i < options.num_hashes; ++i) {
-    slot_seeds[i] = HashCombine(options.seed, i);
+  sig.minhash.assign(kSketchSlots, kEmptyMinhashSlot);
+  std::vector<uint64_t> slot_seeds(kSketchSlots);
+  for (size_t i = 0; i < kSketchSlots; ++i) {
+    slot_seeds[i] = HashCombine(kSketchSeed, i);
   }
   std::unordered_set<uint64_t> distinct;
   uint64_t total_length = 0;
   sig.min_length = column.empty() ? 0 : ~0u;
   for (size_t row = 0; row < column.size(); ++row) {
     std::string text(column.Get(row));
-    if (options.lowercase) {
-      for (char& c : text) c = ToLowerAsciiChar(c);
-    }
+    for (char& c : text) c = ToLowerAsciiChar(c);
     const auto length = static_cast<uint32_t>(text.size());
     total_length += length;
     sig.min_length = std::min(sig.min_length, length);
@@ -369,7 +352,7 @@ ColumnSignature ReferenceSignature(const Column& column,
       sig.charset_mask |= simd::CharsetBitOfByteReference(
           static_cast<unsigned char>(c));
     }
-    ForEachNgram(text, options.ngram, [&](std::string_view g) {
+    ForEachNgram(text, kSketchNgram, [&](std::string_view g) {
       const uint64_t base = HashString(g);
       if (!distinct.insert(base).second) return;
       for (size_t i = 0; i < slot_seeds.size(); ++i) {
@@ -395,11 +378,10 @@ TEST(SignaturePin, ComputeColumnSignatureMatchesReferenceAtBothLevels) {
   column.Append("");
   column.Append("répülőtér \xff\x01 control");  // non-ASCII + control bytes
   column.Append("1600 Pennsylvania Ave NW, Washington, DC 20500");
-  const SignatureOptions options;
-  const ColumnSignature reference = ReferenceSignature(column, options);
+  const ColumnSignature reference = ReferenceSignature(column);
   for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     simd::SetActiveLevel(level);
-    EXPECT_TRUE(ComputeColumnSignature(column, options) == reference)
+    EXPECT_TRUE(ComputeColumnSignature(column) == reference)
         << simd::SimdLevelName(simd::ActiveLevel());
   }
 }
@@ -458,7 +440,7 @@ TEST(PipelineIdentity, DiscoveryIdenticalScalarVsBestSimd) {
       for (const SimdLevel level :
            {SimdLevel::kScalar, simd::BestSupportedLevel()}) {
         simd::SetActiveLevel(level);
-        TableCatalog catalog(SignatureOptions(), storage);
+        TableCatalog catalog(storage);
         for (const Table& table : corpus.tables) {
           ASSERT_TRUE(catalog.AddTable(table).ok());
         }

@@ -69,7 +69,7 @@ TEST_F(BudgetCounterTest, CounterStaysZeroWithoutBudget) {
 }
 
 TEST_F(BudgetCounterTest, CounterMatchesExactScanAtQuiescePoints) {
-  TableCatalog catalog(SignatureOptions(), Budgeted(32 << 10));
+  TableCatalog catalog(Budgeted(32 << 10));
   const SynthCorpus corpus = Corpus();
 
   // After every AddTable (each runs enforcement off the counter).
@@ -111,7 +111,7 @@ TEST_F(BudgetCounterTest, CounterMatchesExactScanAtQuiescePoints) {
 // included them. Shadows must be credited when created, and every drop
 // path must keep the counter exact without a resync.
 TEST_F(BudgetCounterTest, LowercaseShadowsAreCountedWithoutResync) {
-  TableCatalog catalog(SignatureOptions(), Budgeted(64 << 10));
+  TableCatalog catalog(Budgeted(64 << 10));
   const SynthCorpus corpus = Corpus(13);
   for (const Table& table : corpus.tables) {
     ASSERT_TRUE(catalog.AddTable(table).ok());
@@ -153,7 +153,7 @@ TEST_F(BudgetCounterTest, EnforcementStillEvictsDownToBudget) {
   // A budget far below the corpus size: after ingest the resident bytes
   // must sit at or below it (modulo the single spared newest table).
   const size_t budget = 8 << 10;
-  TableCatalog catalog(SignatureOptions(), Budgeted(budget));
+  TableCatalog catalog(Budgeted(budget));
   const SynthCorpus corpus = Corpus(9);
   size_t max_single_table = 0;
   for (const Table& table : corpus.tables) {

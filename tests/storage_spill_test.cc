@@ -253,9 +253,8 @@ TEST_F(SpillTest, FingerprintAndSignatureAreBackendInvariant) {
   spilled.Freeze();
 
   EXPECT_EQ(TableFingerprint(heap), TableFingerprint(spilled));
-  const SignatureOptions options;
-  EXPECT_TRUE(ComputeColumnSignature(heap.column(0), options) ==
-              ComputeColumnSignature(spilled.column(0), options));
+  EXPECT_TRUE(ComputeColumnSignature(heap.column(0)) ==
+              ComputeColumnSignature(spilled.column(0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +387,7 @@ TEST_F(SpillTest, CatalogEvictsColdTablesAndRemapsOnAccess) {
   // Each table carries ~40 KiB of cells; a 64 KiB budget can hold one or
   // two, so earlier tables must be evicted as later ones register.
   StorageOptions storage = Storage(/*budget=*/64 << 10);
-  TableCatalog catalog(SignatureOptions(), storage);
+  TableCatalog catalog(storage);
   std::vector<std::string> values;
   for (int i = 0; i < 400; ++i) {
     values.push_back("cell-payload-" + std::to_string(i) +
@@ -428,7 +427,7 @@ TEST_F(SpillTest, IncrementalRebuildLeavesEvictedTablesEvicted) {
   corpus_options.num_noise_tables = 10;
   corpus_options.rows = 200;
   const SynthCorpus corpus = GenerateSynthCorpus(corpus_options);
-  TableCatalog catalog(SignatureOptions(), Storage(/*budget=*/8 << 10));
+  TableCatalog catalog(Storage(/*budget=*/8 << 10));
   for (const Table& table : corpus.tables) {
     ASSERT_TRUE(catalog.AddTable(table).ok());
   }
@@ -472,7 +471,7 @@ TEST_F(SpillTest, LoadSignaturesLeavesEvictedTablesEvicted) {
   corpus_options.rows = 200;
   const SynthCorpus corpus = GenerateSynthCorpus(corpus_options);
   TableCatalog source;
-  TableCatalog catalog(SignatureOptions(), Storage(/*budget=*/8 << 10));
+  TableCatalog catalog(Storage(/*budget=*/8 << 10));
   for (const Table& table : corpus.tables) {
     ASSERT_TRUE(source.AddTable(table).ok());
     ASSERT_TRUE(catalog.AddTable(table).ok());
@@ -590,7 +589,7 @@ TEST_F(SpillTest, SpilledDiscoveryMatchesInMemoryAtEveryThreadCount) {
                             .string();
     // A budget of a quarter of the corpus forces eviction churn mid-run.
     storage.memory_budget_bytes = std::max<size_t>(total_cells / 4, 1);
-    TableCatalog spilled(SignatureOptions(), storage);
+    TableCatalog spilled(storage);
     ASSERT_TRUE(spilled.AddCsvDirectory(csv_dir.string()).ok());
     EXPECT_GT(spilled.SpilledBytes(), 0u);
     const CorpusDiscoveryResult spilled_result =
